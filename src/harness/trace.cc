@@ -1,5 +1,6 @@
 #include "harness/trace.h"
 
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -69,15 +70,17 @@ const char* PresetName(Preset preset) {
   return "strict";
 }
 
+bool ShardedLayer(const std::string& layer) {
+  return layer == "shard" || layer == "objshard";
+}
+
 std::string FormatRepro(const ReproCase& repro) {
   std::ostringstream line;
   line << "TDB-REPRO v1 layer=" << repro.layer << " kind=" << repro.kind
        << " preset=" << PresetName(repro.spec.preset)
        << " seed=" << repro.spec.seed << " commits=" << repro.spec.commits
        << " slots=" << repro.spec.slots;
-  if (repro.layer == "shard" || repro.layer == "objshard") {
-    line << " shards=" << repro.shards;
-  }
+  if (ShardedLayer(repro.layer)) line << " shards=" << repro.shards;
   if (repro.kind == "crash" || repro.kind == "tamper2pc") {
     line << " point=" << repro.crash.write_index
          << " tear=" << repro.crash.tear_num << "/" << repro.crash.tear_den
@@ -96,17 +99,60 @@ Status MalformedRepro(const std::string& detail) {
   return Status::InvalidArgument("malformed repro line: " + detail);
 }
 
-Result<uint64_t> ParseUint(const std::string& value) {
+/// A decimal number no larger than `max`.
+Result<uint64_t> ParseUint(
+    const std::string& value,
+    uint64_t max = std::numeric_limits<uint64_t>::max()) {
   if (value.empty()) return MalformedRepro("empty numeric field");
   uint64_t out = 0;
   for (char ch : value) {
     if (ch < '0' || ch > '9') return MalformedRepro("bad number: " + value);
-    out = out * 10 + static_cast<uint64_t>(ch - '0');
+    const uint64_t digit = static_cast<uint64_t>(ch - '0');
+    if (out > (max - digit) / 10) {
+      return MalformedRepro("out of range: " + value);
+    }
+    out = out * 10 + digit;
   }
   return out;
 }
 
+Result<uint32_t> ParseUint32(const std::string& value) {
+  TDB_ASSIGN_OR_RETURN(uint64_t n,
+                       ParseUint(value, std::numeric_limits<uint32_t>::max()));
+  return static_cast<uint32_t>(n);
+}
+
 }  // namespace
+
+Status ValidateRepro(const ReproCase& repro) {
+  const std::string& layer = repro.layer;
+  if (layer != "chunk" && layer != "object" && layer != "collection" &&
+      !ShardedLayer(layer) && layer != "ycsb" && layer != "timeseries" &&
+      layer != "largeobject") {
+    return MalformedRepro("unknown layer: " + layer);
+  }
+  const std::string& kind = repro.kind;
+  if (kind != "crash" && kind != "tamper" && kind != "tamper2pc") {
+    return MalformedRepro("unknown kind: " + kind);
+  }
+  if (kind == "tamper2pc" && layer != "shard") {
+    return MalformedRepro("tamper2pc is shard-layer only");
+  }
+  if (ShardedLayer(layer) && repro.shards == 0) {
+    return MalformedRepro("shard repro without shards=");
+  }
+  if (repro.crash.tear_den == 0) return MalformedRepro("tear denominator 0");
+  if (kind != "crash") {
+    if (repro.tamper_file.empty()) {
+      return MalformedRepro("tamper repro without file=");
+    }
+    // 0 would flip nothing; above 255 it would truncate to another byte.
+    if (repro.tamper_mask == 0 || repro.tamper_mask > 255) {
+      return MalformedRepro("mask must be 1..255");
+    }
+  }
+  return Status::OK();
+}
 
 Result<ReproCase> ParseRepro(const std::string& line) {
   std::istringstream in(line);
@@ -123,20 +169,11 @@ Result<ReproCase> ParseRepro(const std::string& line) {
     std::string key = token.substr(0, eq);
     std::string value = token.substr(eq + 1);
     if (key == "layer") {
-      if (value != "chunk" && value != "object" && value != "collection" &&
-          value != "shard" && value != "objshard" && value != "ycsb" &&
-          value != "timeseries" && value != "largeobject") {
-        return MalformedRepro("unknown layer: " + value);
-      }
       repro.layer = value;
     } else if (key == "kind") {
-      if (value != "crash" && value != "tamper" && value != "tamper2pc") {
-        return MalformedRepro("unknown kind: " + value);
-      }
       repro.kind = value;
     } else if (key == "shards") {
-      TDB_ASSIGN_OR_RETURN(uint64_t n, ParseUint(value));
-      repro.shards = static_cast<uint32_t>(n);
+      TDB_ASSIGN_OR_RETURN(repro.shards, ParseUint32(value));
     } else if (key == "preset") {
       if (value == "strict") {
         repro.spec.preset = Preset::kStrict;
@@ -152,25 +189,25 @@ Result<ReproCase> ParseRepro(const std::string& line) {
     } else if (key == "seed") {
       TDB_ASSIGN_OR_RETURN(repro.spec.seed, ParseUint(value));
     } else if (key == "commits") {
-      TDB_ASSIGN_OR_RETURN(uint64_t n, ParseUint(value));
-      repro.spec.commits = static_cast<uint32_t>(n);
+      TDB_ASSIGN_OR_RETURN(repro.spec.commits, ParseUint32(value));
     } else if (key == "slots") {
-      TDB_ASSIGN_OR_RETURN(uint64_t n, ParseUint(value));
-      repro.spec.slots = static_cast<uint32_t>(n);
+      TDB_ASSIGN_OR_RETURN(repro.spec.slots, ParseUint32(value));
     } else if (key == "point") {
       TDB_ASSIGN_OR_RETURN(repro.crash.write_index, ParseUint(value));
     } else if (key == "tear") {
       size_t slash = value.find('/');
       if (slash == std::string::npos) return MalformedRepro("tear=a/b expected");
-      TDB_ASSIGN_OR_RETURN(uint64_t num, ParseUint(value.substr(0, slash)));
-      TDB_ASSIGN_OR_RETURN(uint64_t den, ParseUint(value.substr(slash + 1)));
-      repro.crash.tear_num = static_cast<uint32_t>(num);
-      repro.crash.tear_den = static_cast<uint32_t>(den);
+      TDB_ASSIGN_OR_RETURN(repro.crash.tear_num,
+                           ParseUint32(value.substr(0, slash)));
+      TDB_ASSIGN_OR_RETURN(repro.crash.tear_den,
+                           ParseUint32(value.substr(slash + 1)));
     } else if (key == "rcrash") {
       if (value == "-1") {
         repro.crash.recovery_crash = -1;
       } else {
-        TDB_ASSIGN_OR_RETURN(uint64_t n, ParseUint(value));
+        TDB_ASSIGN_OR_RETURN(
+            uint64_t n,
+            ParseUint(value, std::numeric_limits<int64_t>::max()));
         repro.crash.recovery_crash = static_cast<int64_t>(n);
       }
     } else if (key == "file") {
@@ -178,23 +215,14 @@ Result<ReproCase> ParseRepro(const std::string& line) {
     } else if (key == "off") {
       TDB_ASSIGN_OR_RETURN(repro.tamper_offset, ParseUint(value));
     } else if (key == "mask") {
-      TDB_ASSIGN_OR_RETURN(uint64_t n, ParseUint(value));
+      TDB_ASSIGN_OR_RETURN(uint64_t n, ParseUint(value, 255));
+      if (n == 0) return MalformedRepro("mask must be 1..255");
       repro.tamper_mask = static_cast<uint32_t>(n);
     } else {
       return MalformedRepro("unknown key: " + key);
     }
   }
-  if ((repro.kind == "tamper" || repro.kind == "tamper2pc") &&
-      repro.tamper_file.empty()) {
-    return MalformedRepro("tamper repro without file=");
-  }
-  if (repro.kind == "tamper2pc" && repro.layer != "shard") {
-    return MalformedRepro("tamper2pc is shard-layer only");
-  }
-  if ((repro.layer == "shard" || repro.layer == "objshard") &&
-      repro.shards == 0) {
-    return MalformedRepro("shard repro without shards=");
-  }
+  TDB_RETURN_IF_ERROR(ValidateRepro(repro));
   return repro;
 }
 

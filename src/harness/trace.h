@@ -121,30 +121,41 @@ struct SweepStats {
 using StoreWrap =
     std::function<platform::UntrustedStore*(platform::UntrustedStore*)>;
 
-/// A parsed single-line repro. Failures print `FormatRepro(...)` so any
-/// failing campaign case replays as a one-liner via ReplayRepro().
+/// One harness case, and its single-line repro. Failures print
+/// `FormatRepro(...)` so any failing campaign case replays as a one-liner
+/// via ReplayRepro() (engine.h).
 struct ReproCase {
-  /// "chunk" | "object" | "collection" | "shard", or a workload scenario:
-  /// "ycsb" | "timeseries" | "largeobject".
+  /// The adapter (layer.h): "chunk" | "object" | "collection", their
+  /// sharded forms "shard" | "objshard", or a workload scenario "ycsb" |
+  /// "timeseries" | "largeobject".
   std::string layer = "chunk";
-  /// "crash" | "tamper", plus (shard layer only) "tamper2pc": tamper a
-  /// byte of a mid-two-phase-commit crash image — the crash fields locate
-  /// the crash that left 2PC staging records live, the tamper fields the
-  /// corrupted byte.
+  /// "crash" | "tamper" (every layer), or "tamper2pc" (shard layer only):
+  /// tamper a byte of a mid-two-phase-commit crash image — the crash
+  /// fields locate the crash that left 2PC staging records live, the
+  /// tamper fields the corrupted byte.
   std::string kind = "crash";
   TraceSpec spec;
-  /// Shard count for layer == "shard" (0 elsewhere).
+  /// Shard count of the sharded layers ("shard", "objshard"); ignored
+  /// elsewhere.
   uint32_t shards = 0;
   CrashCase crash;              // kind == "crash" | "tamper2pc".
   std::string tamper_file;      // kind == "tamper" | "tamper2pc".
   uint64_t tamper_offset = 0;
-  uint32_t tamper_mask = 0;
+  uint32_t tamper_mask = 0;     // 1..255, XORed into the byte.
 };
+
+/// "shard" | "objshard": the layers that run over the sharded router.
+bool ShardedLayer(const std::string& layer);
 
 /// e.g. "TDB-REPRO v1 layer=chunk kind=crash preset=strict seed=7
 ///       commits=12 slots=12 point=17 tear=2/4 rcrash=-1"
 std::string FormatRepro(const ReproCase& repro);
+/// Rejects (InvalidArgument) unknown keys and values, numbers out of their
+/// field's range, and any case ValidateRepro rejects.
 Result<ReproCase> ParseRepro(const std::string& line);
+/// Known layer and kind, shards >= 1 on the sharded layers, tear
+/// denominator >= 1, and for the tamper kinds a file and a mask in 1..255.
+Status ValidateRepro(const ReproCase& repro);
 
 const char* PresetName(Preset preset);
 

@@ -1,103 +1,51 @@
 // Tests for the differential crash/tamper harness (src/harness): trace
-// determinism, repro-line round trips, the oracle model, exhaustive
-// sharded crash sweeps at the chunk / object / collection layers, the
-// structural tamper sweep, and a self-test that proves the harness
-// catches a deliberately buggy store and that its printed repro line
-// replays the failure.
+// determinism, repro-line round trips and validation, the oracle model, the
+// exhaustive sharded crash and tamper campaigns of every layer (one table
+// each, run by the sweep engine), and a self-test that proves the harness
+// catches a deliberately buggy store at the chunk, object and collection
+// layers and that its printed repro line replays the failure.
 #include <cstdint>
 #include <iostream>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "harness/chunk_driver.h"
-#include "harness/collection_driver.h"
-#include "harness/object_driver.h"
+#include "harness/engine.h"
 #include "harness/oracle.h"
 #include "harness/region_map.h"
-#include "harness/replay.h"
-#include "harness/shard_driver.h"
 #include "harness/trace.h"
 #include "platform/mem_store.h"
 
 namespace tdb::harness {
 namespace {
 
-// Campaign specs. Sizes are chosen so one shard stays within a couple of
-// seconds; the sweeps themselves are exhaustive over each trace.
-TraceSpec ChunkStrictSpec() {
+constexpr TraceSpec Spec(uint64_t seed, uint32_t commits, uint32_t slots,
+                         Preset preset = Preset::kStrict) {
   TraceSpec spec;
-  spec.seed = 7;
-  spec.commits = 10;
-  spec.slots = 10;
-  spec.preset = Preset::kStrict;
+  spec.seed = seed;
+  spec.commits = commits;
+  spec.slots = slots;
+  spec.preset = preset;
   return spec;
 }
 
-TraceSpec ChunkCleaningSpec() {
-  TraceSpec spec;
-  spec.seed = 11;
-  spec.commits = 8;
-  spec.slots = 8;
-  spec.preset = Preset::kCleaning;
-  return spec;
-}
+// Specs shared by several tests. Sizes keep one campaign shard within a
+// couple of seconds; the sweeps themselves are exhaustive.
+constexpr TraceSpec kChunkStrict = Spec(7, 10, 10);
+constexpr TraceSpec kObject = Spec(13, 7, 8);
+constexpr TraceSpec kCollection = Spec(17, 5, 6);
+constexpr TraceSpec kTamper = Spec(23, 8, 8);
+// The sharded layers: a 2-shard router whose trace commits span shards.
+constexpr TraceSpec kShardTrace = Spec(37, 6, 6);
+constexpr uint32_t kRouterShards = 2;
 
-TraceSpec ChunkGroupSpec() {
-  TraceSpec spec;
-  spec.seed = 29;
-  spec.commits = 10;
-  spec.slots = 10;
-  spec.preset = Preset::kGroup;
-  return spec;
-}
-
-TraceSpec ChunkCodecSpec() {
-  TraceSpec spec;
-  spec.seed = 31;
-  spec.commits = 10;
-  spec.slots = 10;
-  spec.preset = Preset::kCodec;
-  return spec;
-}
-
-TraceSpec CodecTamperSpec() {
-  TraceSpec spec;
-  spec.seed = 37;
-  spec.commits = 8;
-  spec.slots = 8;
-  spec.preset = Preset::kCodec;
-  return spec;
-}
-
-TraceSpec ObjectSpec() {
-  TraceSpec spec;
-  spec.seed = 13;
-  spec.commits = 7;
-  spec.slots = 8;
-  spec.preset = Preset::kStrict;
-  return spec;
-}
-
-TraceSpec CollectionSpec() {
-  TraceSpec spec;
-  spec.seed = 17;
-  spec.commits = 5;
-  spec.slots = 6;
-  spec.preset = Preset::kStrict;
-  return spec;
-}
-
-TraceSpec TamperSpec() {
-  TraceSpec spec;
-  spec.seed = 23;
-  spec.commits = 8;
-  spec.slots = 8;
-  spec.preset = Preset::kStrict;
-  return spec;
-}
+// Every campaign is split into this many ctest entries; case i belongs to
+// entry i % kSweepShards, and every entry asserts the full campaign's
+// coverage counters.
+constexpr int kSweepShards = 4;
 
 // Number of cases shard `shard` of `num_shards` executes out of `total`.
 uint64_t ShardShare(uint64_t total, int shard, int num_shards) {
@@ -108,28 +56,11 @@ uint64_t ShardShare(uint64_t total, int shard, int num_shards) {
               : 0);
 }
 
-void PrintCoverage(const std::string& campaign, int shard, int num_shards,
-                   const SweepStats& stats) {
-  std::cout << "HARNESS-COVERAGE campaign=" << campaign << " shard=" << shard
-            << "/" << num_shards << " write_points=" << stats.write_points
-            << " tear_buckets=" << stats.tear_buckets
-            << " cases=" << stats.cases
-            << " tamper_sites=" << stats.tamper_sites;
-  if (stats.tamper_sites > 0) {
-    std::cout << " anchor=" << stats.sites_per_class[0]
-              << " log=" << stats.sites_per_class[1]
-              << " payload=" << stats.sites_per_class[2]
-              << " map=" << stats.sites_per_class[3]
-              << " detected=" << stats.detected << " masked=" << stats.masked;
-  }
-  std::cout << std::endl;
-}
-
 // ---------------------------------------------------------------------------
 // Trace generation and repro lines.
 
 TEST(TraceTest, GenerationIsDeterministic) {
-  TraceSpec spec = ChunkStrictSpec();
+  TraceSpec spec = kChunkStrict;
   std::vector<TraceCommit> a = GenerateTrace(spec);
   std::vector<TraceCommit> b = GenerateTrace(spec);
   ASSERT_EQ(a.size(), b.size());
@@ -200,7 +131,7 @@ TEST(ReproTest, GroupPresetRoundTrips) {
   ReproCase repro;
   repro.layer = "chunk";
   repro.kind = "crash";
-  repro.spec = ChunkGroupSpec();
+  repro.spec = Spec(29, 10, 10, Preset::kGroup);
   repro.crash.write_index = 9;
   repro.crash.tear_num = 5;
   repro.crash.tear_den = 8;
@@ -259,6 +190,38 @@ TEST(ReproTest, MalformedLinesAreRejected) {
   EXPECT_FALSE(ParseRepro("TDB-REPRO v1 layer=chunk kind=crash seed=xyz").ok());
   EXPECT_FALSE(ParseRepro("TDB-REPRO v1 layer=chunk kind=tamper").ok());
   EXPECT_FALSE(ParseRepro("TDB-REPRO v1 bogus").ok());
+
+  // Numbers out of their field's range are rejected, not wrapped or
+  // narrowed.
+  const std::string crash = "TDB-REPRO v1 layer=chunk kind=crash ";
+  EXPECT_TRUE(ParseRepro(crash + "seed=18446744073709551615").ok());
+  EXPECT_FALSE(ParseRepro(crash + "seed=18446744073709551616").ok());
+  EXPECT_FALSE(ParseRepro(crash + "seed=99999999999999999999").ok());
+  EXPECT_TRUE(ParseRepro(crash + "commits=4294967295").ok());
+  EXPECT_FALSE(ParseRepro(crash + "commits=4294967296").ok());
+  EXPECT_FALSE(ParseRepro(crash + "slots=4294967296").ok());
+  EXPECT_FALSE(ParseRepro(crash + "tear=4294967296/4").ok());
+  EXPECT_FALSE(ParseRepro(crash + "tear=1/4294967296").ok());
+  EXPECT_FALSE(ParseRepro(crash + "rcrash=9223372036854775808").ok());
+  EXPECT_FALSE(
+      ParseRepro("TDB-REPRO v1 layer=shard kind=crash shards=4294967298")
+          .ok());
+  // A zero tear denominator is not silently rewritten.
+  EXPECT_FALSE(ParseRepro(crash + "tear=1/0").ok());
+  // A tamper mask must flip something and fit in a byte: 256 would
+  // truncate to a no-op XOR and replay as vacuously "masked".
+  const std::string tamper =
+      "TDB-REPRO v1 layer=chunk kind=tamper file=anchor-0 off=0";
+  EXPECT_TRUE(ParseRepro(tamper + " mask=255").ok());
+  EXPECT_FALSE(ParseRepro(tamper + " mask=256").ok());
+  EXPECT_FALSE(ParseRepro(tamper + " mask=0").ok());
+  EXPECT_FALSE(ParseRepro(tamper).ok());  // No mask at all.
+  for (const std::string& bad :
+       {tamper + " mask=256", crash + "tear=1/0", crash + "seed=x"}) {
+    Result<ReproCase> parsed = ParseRepro(bad);
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), Status::Code::kInvalidArgument) << bad;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -307,171 +270,143 @@ TEST(OracleTest, FloorAndBoundaries) {
 }
 
 // ---------------------------------------------------------------------------
-// Exhaustive crash sweeps (sharded: each shard is one ctest entry; the
-// union of shards covers every (write index x tear fraction) case).
+// Exhaustive campaigns. Each row runs as kSweepShards ctest entries named
+// "<suite>.<test>/<shard>".
 
-class ChunkStrictCrashSweepTest : public ::testing::TestWithParam<int> {};
+struct Campaign {
+  const char* suite;
+  const char* test;
+  const char* name;  // The HARNESS-COVERAGE campaign.
+  const char* layer;
+  const char* kind;
+  TraceSpec spec;
+  uint32_t shards = 0;
+  int64_t recovery_crash = -1;
+  uint64_t tear_buckets = 0;      // Crash campaigns: buckets per point.
+  uint64_t min_write_points = 0;  // Crash campaigns: lower bound.
+};
 
-TEST_P(ChunkStrictCrashSweepTest, Exhaustive) {
-  constexpr int kShards = 4;
-  TraceSpec spec = ChunkStrictSpec();
+// Crash campaigns: every store write index of the workload x every
+// torn-write fraction of the layer, each rebooted, recovered and checked
+// against the oracle's durable floor (see engine.h).
+constexpr Campaign kCrashCampaigns[] = {
+    // At least one write per commit.
+    {.suite = "Shards/ChunkStrictCrashSweepTest", .test = "Exhaustive",
+     .name = "chunk-strict-crash", .layer = "chunk", .kind = "crash",
+     .spec = kChunkStrict, .tear_buckets = 5, .min_write_points = 10},
+    // Group commit coalesces runs of nondurable commits into one merged
+    // multi-commit record, so crash points include tears INSIDE a record
+    // that covers several logical commits. The oracle invariant is
+    // unchanged — a merged record applies all-or-nothing and its boundary
+    // IS a commit boundary — and the sweep proves no group-acked commit is
+    // ever lost and no torn group partially applied. Tear buckets are n/8
+    // so interior sector boundaries of the longer appends are reached.
+    {.suite = "Shards/ChunkGroupCrashSweepTest", .test = "Exhaustive",
+     .name = "chunk-group-crash", .layer = "chunk", .kind = "crash",
+     .spec = Spec(29, 10, 10, Preset::kGroup), .tear_buckets = 9},
+    // Compress-before-encrypt: a crash torn inside a compressed append
+    // recovers to a commit-boundary prefix exactly as in kStrict.
+    {.suite = "Shards/ChunkCodecCrashSweepTest", .test = "Exhaustive",
+     .name = "chunk-codec-crash", .layer = "chunk", .kind = "crash",
+     .spec = Spec(31, 10, 10, Preset::kCodec), .tear_buckets = 5,
+     .min_write_points = 10},
+    {.suite = "Shards/ChunkCleaningCrashSweepTest", .test = "Exhaustive",
+     .name = "chunk-cleaning-crash", .layer = "chunk", .kind = "crash",
+     .spec = Spec(11, 8, 8, Preset::kCleaning), .tear_buckets = 5},
+    // Double crash: every case crashes again during recovery.
+    {.suite = "Shards/ChunkRecoveryCrashSweepTest", .test = "Exhaustive",
+     .name = "chunk-recovery-crash", .layer = "chunk", .kind = "crash",
+     .spec = Spec(9, 6, 8), .recovery_crash = 2, .tear_buckets = 5},
+    {.suite = "Shards/ObjectCrashSweepTest", .test = "Exhaustive",
+     .name = "object-crash", .layer = "object", .kind = "crash",
+     .spec = kObject, .tear_buckets = 5},
+    {.suite = "Shards/CollectionCrashSweepTest", .test = "Exhaustive",
+     .name = "collection-crash", .layer = "collection", .kind = "crash",
+     .spec = kCollection, .tear_buckets = 3},
+    // The sharded trace writes strictly more than one store's worth: 2PC
+    // staging and decision records ride the same global write index.
+    {.suite = "Shards/ShardCrashSweepTest", .test = "Exhaustive",
+     .name = "shard-crash", .layer = "shard", .kind = "crash",
+     .spec = kShardTrace, .shards = kRouterShards, .tear_buckets = 5,
+     .min_write_points = kShardTrace.commits + 1},
+    // Cross-shard object transactions drive the MAC-chained 2PC from the
+    // durable-object API down.
+    {.suite = "Shards/ObjectShardCrashSweepTest", .test = "Exhaustive",
+     .name = "objshard-crash", .layer = "objshard", .kind = "crash",
+     .spec = kShardTrace, .shards = kRouterShards, .tear_buckets = 5,
+     .min_write_points = kShardTrace.commits + 1},
+};
+
+// Tamper campaigns: the first, middle and last byte of every classified
+// region of the image, each reopened and read back through the layer.
+constexpr Campaign kTamperCampaigns[] = {
+    {.suite = "Shards/ChunkTamperSweepTest", .test = "EveryRegionClass",
+     .name = "chunk-tamper", .layer = "chunk", .kind = "tamper",
+     .spec = kTamper},
+    // A corrupted compressed payload may surface as a hash mismatch or a
+    // decompression failure; either way it is detected and audited.
+    {.suite = "Shards/CodecTamperSweepTest", .test = "EveryRegionClass",
+     .name = "chunk-codec-tamper", .layer = "chunk", .kind = "tamper",
+     .spec = Spec(37, 8, 8, Preset::kCodec)},
+    {.suite = "Shards/ObjectTamperSweepTest", .test = "EveryRegionClass",
+     .name = "object-tamper", .layer = "object", .kind = "tamper",
+     .spec = kTamper},
+    {.suite = "Shards/CollectionTamperSweepTest", .test = "EveryRegionClass",
+     .name = "collection-tamper", .layer = "collection", .kind = "tamper",
+     .spec = kCollection},
+    // The clean sharded image keeps every 2PC decision record (they are
+    // never garbage-collected), so sites include tampered coordinator
+    // decision records.
+    {.suite = "Shards/ShardTamperSweepTest", .test = "EveryRegionClass",
+     .name = "shard-tamper", .layer = "shard", .kind = "tamper",
+     .spec = kShardTrace, .shards = kRouterShards},
+    // The image of a crash inside the 2PC window: live prepare records and
+    // the decision records recovery depends on.
+    {.suite = "Shards/ShardMid2pcTamperSweepTest",
+     .test = "LivePrepareAndDecisionRecords", .name = "shard-mid2pc-tamper",
+     .layer = "shard", .kind = "tamper2pc", .spec = kShardTrace,
+     .shards = kRouterShards},
+    {.suite = "Shards/ObjectShardTamperSweepTest", .test = "EveryRegionClass",
+     .name = "objshard-tamper", .layer = "objshard", .kind = "tamper",
+     .spec = kShardTrace, .shards = kRouterShards},
+};
+
+ReproCase CampaignCase(const Campaign& campaign) {
+  ReproCase repro;
+  repro.layer = campaign.layer;
+  repro.kind = campaign.kind;
+  repro.spec = campaign.spec;
+  repro.shards = campaign.shards;
+  repro.crash.recovery_crash = campaign.recovery_crash;
+  return repro;
+}
+
+void CheckCrashCampaign(const Campaign& campaign, int shard) {
+  ReproCase repro = CampaignCase(campaign);
   SweepStats stats;
-  Status status = ChunkCrashSweep(spec, GetParam(), kShards, &stats);
+  Status status = Sweep(repro, shard, kSweepShards, &stats);
   ASSERT_TRUE(status.ok()) << status.ToString();
 
-  // No sampling: the campaign enumerates every base-store write of the
-  // trace, and this shard ran exactly its residue class of the cases.
-  Result<uint64_t> writes = CountChunkTraceWrites(spec);
+  // No sampling: the campaign enumerates every store write of the
+  // workload, and this shard ran exactly its residue class of the cases.
+  Result<uint64_t> writes = CountWrites(repro);
   ASSERT_TRUE(writes.ok()) << writes.status().ToString();
   EXPECT_EQ(stats.write_points, writes.value());
-  EXPECT_GE(stats.write_points, spec.commits);  // >= 1 write per commit.
-  EXPECT_EQ(stats.tear_buckets, 5u);
+  EXPECT_GE(stats.write_points, campaign.min_write_points);
+  EXPECT_EQ(stats.tear_buckets, campaign.tear_buckets);
   EXPECT_EQ(stats.cases, ShardShare(stats.write_points * stats.tear_buckets,
-                                    GetParam(), kShards));
-  PrintCoverage("chunk-strict-crash", GetParam(), kShards, stats);
+                                    shard, kSweepShards));
+  std::cout << FormatCoverage(campaign.name, shard, kSweepShards, stats)
+            << std::endl;
 }
 
-INSTANTIATE_TEST_SUITE_P(Shards, ChunkStrictCrashSweepTest,
-                         ::testing::Range(0, 4));
-
-// Group commit coalesces runs of nondurable commits into one merged
-// multi-commit record, so this sweep's crash points include tears INSIDE
-// a record that covers several logical commits. The oracle invariant is
-// unchanged — recovered state must be a commit-boundary prefix at least
-// as new as the durable floor — because a merged record applies
-// all-or-nothing and its boundary IS a commit boundary; what the sweep
-// proves is that no group-acked commit is ever lost and no torn group is
-// ever partially applied. Tear buckets are n/8 (vs n/4 elsewhere) so
-// interior sector boundaries of the longer merged appends are reached.
-class ChunkGroupCrashSweepTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ChunkGroupCrashSweepTest, Exhaustive) {
-  constexpr int kShards = 4;
-  TraceSpec spec = ChunkGroupSpec();
+void CheckTamperCampaign(const Campaign& campaign, int shard) {
   SweepStats stats;
-  Status status = ChunkCrashSweep(spec, GetParam(), kShards, &stats);
+  Status status = Sweep(CampaignCase(campaign), shard, kSweepShards, &stats);
   ASSERT_TRUE(status.ok()) << status.ToString();
 
-  Result<uint64_t> writes = CountChunkTraceWrites(spec);
-  ASSERT_TRUE(writes.ok()) << writes.status().ToString();
-  EXPECT_EQ(stats.write_points, writes.value());
-  EXPECT_EQ(stats.tear_buckets, 9u);
-  EXPECT_EQ(stats.cases, ShardShare(stats.write_points * stats.tear_buckets,
-                                    GetParam(), kShards));
-  PrintCoverage("chunk-group-crash", GetParam(), kShards, stats);
-}
-
-INSTANTIATE_TEST_SUITE_P(Shards, ChunkGroupCrashSweepTest,
-                         ::testing::Range(0, 4));
-
-// Compress-before-encrypt preset: every record's sealed bytes are the
-// encryption of (possibly) LZ-compressed plaintext. The sweep proves a
-// crash torn inside a compressed append recovers to a commit-boundary
-// prefix exactly as in kStrict — compression must not add any new
-// partial-application or silent-corruption window.
-class ChunkCodecCrashSweepTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ChunkCodecCrashSweepTest, Exhaustive) {
-  constexpr int kShards = 4;
-  TraceSpec spec = ChunkCodecSpec();
-  SweepStats stats;
-  Status status = ChunkCrashSweep(spec, GetParam(), kShards, &stats);
-  ASSERT_TRUE(status.ok()) << status.ToString();
-
-  Result<uint64_t> writes = CountChunkTraceWrites(spec);
-  ASSERT_TRUE(writes.ok()) << writes.status().ToString();
-  EXPECT_EQ(stats.write_points, writes.value());
-  EXPECT_GE(stats.write_points, spec.commits);
-  EXPECT_EQ(stats.cases, ShardShare(stats.write_points * stats.tear_buckets,
-                                    GetParam(), kShards));
-  PrintCoverage("chunk-codec-crash", GetParam(), kShards, stats);
-}
-
-INSTANTIATE_TEST_SUITE_P(Shards, ChunkCodecCrashSweepTest,
-                         ::testing::Range(0, 4));
-
-class ChunkCleaningCrashSweepTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ChunkCleaningCrashSweepTest, Exhaustive) {
-  constexpr int kShards = 4;
-  TraceSpec spec = ChunkCleaningSpec();
-  SweepStats stats;
-  Status status = ChunkCrashSweep(spec, GetParam(), kShards, &stats);
-  ASSERT_TRUE(status.ok()) << status.ToString();
-  EXPECT_EQ(stats.cases, ShardShare(stats.write_points * stats.tear_buckets,
-                                    GetParam(), kShards));
-  PrintCoverage("chunk-cleaning-crash", GetParam(), kShards, stats);
-}
-
-INSTANTIATE_TEST_SUITE_P(Shards, ChunkCleaningCrashSweepTest,
-                         ::testing::Range(0, 4));
-
-// Double-crash coverage: every case additionally crashes during recovery.
-class ChunkRecoveryCrashSweepTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ChunkRecoveryCrashSweepTest, Exhaustive) {
-  constexpr int kShards = 4;
-  TraceSpec spec = ChunkStrictSpec();
-  spec.seed = 9;
-  spec.commits = 6;
-  spec.slots = 8;
-  SweepStats stats;
-  Status status = ChunkCrashSweep(spec, GetParam(), kShards, &stats,
-                                  /*recovery_crash=*/2);
-  ASSERT_TRUE(status.ok()) << status.ToString();
-  EXPECT_EQ(stats.cases, ShardShare(stats.write_points * stats.tear_buckets,
-                                    GetParam(), kShards));
-  PrintCoverage("chunk-recovery-crash", GetParam(), kShards, stats);
-}
-
-INSTANTIATE_TEST_SUITE_P(Shards, ChunkRecoveryCrashSweepTest,
-                         ::testing::Range(0, 4));
-
-class ObjectCrashSweepTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ObjectCrashSweepTest, Exhaustive) {
-  constexpr int kShards = 4;
-  TraceSpec spec = ObjectSpec();
-  SweepStats stats;
-  Status status = ObjectCrashSweep(spec, GetParam(), kShards, &stats);
-  ASSERT_TRUE(status.ok()) << status.ToString();
-  EXPECT_EQ(stats.cases, ShardShare(stats.write_points * stats.tear_buckets,
-                                    GetParam(), kShards));
-  PrintCoverage("object-crash", GetParam(), kShards, stats);
-}
-
-INSTANTIATE_TEST_SUITE_P(Shards, ObjectCrashSweepTest, ::testing::Range(0, 4));
-
-class CollectionCrashSweepTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(CollectionCrashSweepTest, Exhaustive) {
-  constexpr int kShards = 4;
-  TraceSpec spec = CollectionSpec();
-  SweepStats stats;
-  Status status = CollectionCrashSweep(spec, GetParam(), kShards, &stats);
-  ASSERT_TRUE(status.ok()) << status.ToString();
-  EXPECT_EQ(stats.cases, ShardShare(stats.write_points * stats.tear_buckets,
-                                    GetParam(), kShards));
-  PrintCoverage("collection-crash", GetParam(), kShards, stats);
-}
-
-INSTANTIATE_TEST_SUITE_P(Shards, CollectionCrashSweepTest,
-                         ::testing::Range(0, 4));
-
-// ---------------------------------------------------------------------------
-// Structural tamper sweep.
-
-class ChunkTamperSweepTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ChunkTamperSweepTest, EveryRegionClass) {
-  constexpr int kShards = 4;
-  TraceSpec spec = TamperSpec();
-  SweepStats stats;
-  Status status = ChunkTamperSweep(spec, GetParam(), kShards, &stats);
-  ASSERT_TRUE(status.ok()) << status.ToString();
-
-  // The full campaign (counted identically in every shard) must cover all
-  // four structural region classes of the image.
+  // The full campaign (counted identically in every shard) covers all four
+  // structural region classes of the image.
   uint64_t site_sum = 0;
   for (int cls = 0; cls < kRegionClasses; cls++) {
     EXPECT_GT(stats.sites_per_class[cls], 0u)
@@ -480,221 +415,72 @@ TEST_P(ChunkTamperSweepTest, EveryRegionClass) {
     site_sum += stats.sites_per_class[cls];
   }
   EXPECT_EQ(stats.tamper_sites, site_sum);
-  EXPECT_EQ(stats.cases, ShardShare(stats.tamper_sites, GetParam(), kShards));
+  EXPECT_EQ(stats.cases, ShardShare(stats.tamper_sites, shard, kSweepShards));
   // Every executed case was either detected or masked — never silently
   // accepted (silent acceptance fails the sweep above).
   EXPECT_EQ(stats.detected + stats.masked, stats.cases);
   EXPECT_GT(stats.detected, 0u);
-  // Security audit trail: each detected case left exactly one
-  // deduplicated audit event with a region compatible with the corrupted
-  // byte's class, and each masked case left none. (The per-case
-  // contract — never zero events on detection, never several, correct
-  // region — is enforced inside the sweep; a violation fails `status`
-  // above. This tally cross-checks the aggregate: events == detections.)
+  // Each detected case left exactly one deduplicated audit event (with a
+  // region compatible with the corrupted byte's class) and one
+  // flight-recorder bundle; each masked case left neither. The sweep
+  // enforces that per case; these cross-check the totals.
   EXPECT_EQ(stats.audit_events, stats.detected);
-  PrintCoverage("chunk-tamper", GetParam(), kShards, stats);
+  EXPECT_EQ(stats.recorder_bundles, stats.detected);
+  std::cout << FormatCoverage(campaign.name, shard, kSweepShards, stats)
+            << std::endl;
 }
 
-INSTANTIATE_TEST_SUITE_P(Shards, ChunkTamperSweepTest, ::testing::Range(0, 4));
+class CampaignTest : public ::testing::Test {
+ public:
+  CampaignTest(const Campaign* campaign, int shard)
+      : campaign_(campaign), shard_(shard) {}
 
-// Tamper sweep over a compression-enabled image: corruption of a
-// compressed sealed payload may surface as a hash mismatch OR (were the
-// hash somehow satisfied) a decompression failure — either way it must be
-// detected with an audit event, never silently accepted. The sweep covers
-// every structural region class of the codec image.
-class CodecTamperSweepTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(CodecTamperSweepTest, EveryRegionClass) {
-  constexpr int kShards = 4;
-  TraceSpec spec = CodecTamperSpec();
-  SweepStats stats;
-  Status status = ChunkTamperSweep(spec, GetParam(), kShards, &stats);
-  ASSERT_TRUE(status.ok()) << status.ToString();
-
-  uint64_t site_sum = 0;
-  for (int cls = 0; cls < kRegionClasses; cls++) {
-    EXPECT_GT(stats.sites_per_class[cls], 0u)
-        << "no tamper sites in region class "
-        << RegionClassName(static_cast<RegionClass>(cls));
-    site_sum += stats.sites_per_class[cls];
+  void TestBody() override {
+    if (std::string(campaign_->kind) == "crash") {
+      CheckCrashCampaign(*campaign_, shard_);
+    } else {
+      CheckTamperCampaign(*campaign_, shard_);
+    }
   }
-  EXPECT_EQ(stats.tamper_sites, site_sum);
-  EXPECT_EQ(stats.cases, ShardShare(stats.tamper_sites, GetParam(), kShards));
-  // 0 silent acceptances: every executed case detected or fully masked.
-  EXPECT_EQ(stats.detected + stats.masked, stats.cases);
-  EXPECT_GT(stats.detected, 0u);
-  EXPECT_EQ(stats.audit_events, stats.detected);
-  PrintCoverage("chunk-codec-tamper", GetParam(), kShards, stats);
+
+ private:
+  const Campaign* campaign_;
+  int shard_;
+};
+
+void RegisterCampaigns(std::span<const Campaign> campaigns) {
+  for (const Campaign& campaign : campaigns) {
+    for (int shard = 0; shard < kSweepShards; shard++) {
+      const std::string test =
+          std::string(campaign.test) + "/" + std::to_string(shard);
+      ::testing::RegisterTest(
+          campaign.suite, test.c_str(), nullptr, nullptr, __FILE__, __LINE__,
+          [&campaign, shard]() -> ::testing::Test* {
+            return new CampaignTest(&campaign, shard);
+          });
+    }
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(Shards, CodecTamperSweepTest,
-                         ::testing::Range(0, 4));
+const bool kCampaignsRegistered = [] {
+  RegisterCampaigns(kCrashCampaigns);
+  RegisterCampaigns(kTamperCampaigns);
+  return true;
+}();
 
 // ---------------------------------------------------------------------------
-// Sharded-store campaigns (src/shard): the crash sweep enumerates every
-// global write index across all shards — including each write of every
-// two-phase-commit window (per-participant staging commits, decision
-// batches) — and the tamper sweeps corrupt the cross-shard commit's own
-// metadata (config, prepare, and decision records) alongside the usual
-// chunk-level regions.
-
-constexpr uint32_t kRouterShards = 2;  // Shards inside the router.
-
-TraceSpec ShardTraceSpec() {
-  TraceSpec spec;
-  spec.seed = 37;
-  spec.commits = 6;
-  spec.slots = 6;
-  spec.preset = Preset::kStrict;
-  return spec;
-}
-
-class ShardCrashSweepTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ShardCrashSweepTest, Exhaustive) {
-  constexpr int kShards = 4;
-  TraceSpec spec = ShardTraceSpec();
-  SweepStats stats;
-  Status status =
-      ShardCrashSweep(spec, kRouterShards, GetParam(), kShards, &stats);
-  ASSERT_TRUE(status.ok()) << status.ToString();
-
-  Result<uint64_t> writes = CountShardTraceWrites(spec, kRouterShards);
-  ASSERT_TRUE(writes.ok()) << writes.status().ToString();
-  EXPECT_EQ(stats.write_points, writes.value());
-  // The sharded trace writes strictly more than one store's worth: 2PC
-  // staging and decision records ride the same global write index.
-  EXPECT_GT(stats.write_points, spec.commits);
-  EXPECT_EQ(stats.tear_buckets, 5u);
-  EXPECT_EQ(stats.cases, ShardShare(stats.write_points * stats.tear_buckets,
-                                    GetParam(), kShards));
-  PrintCoverage("shard-crash", GetParam(), kShards, stats);
-}
-
-INSTANTIATE_TEST_SUITE_P(Shards, ShardCrashSweepTest, ::testing::Range(0, 4));
-
-class ShardTamperSweepTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ShardTamperSweepTest, EveryRegionClass) {
-  constexpr int kShards = 4;
-  TraceSpec spec = ShardTraceSpec();
-  SweepStats stats;
-  Status status =
-      ShardTamperSweep(spec, kRouterShards, GetParam(), kShards, &stats);
-  ASSERT_TRUE(status.ok()) << status.ToString();
-
-  uint64_t site_sum = 0;
-  for (int cls = 0; cls < kRegionClasses; cls++) {
-    EXPECT_GT(stats.sites_per_class[cls], 0u)
-        << "no tamper sites in region class "
-        << RegionClassName(static_cast<RegionClass>(cls));
-    site_sum += stats.sites_per_class[cls];
-  }
-  EXPECT_EQ(stats.tamper_sites, site_sum);
-  EXPECT_EQ(stats.cases, ShardShare(stats.tamper_sites, GetParam(), kShards));
-  // 0 silent acceptances. The clean sharded image retains every 2PC
-  // decision record (they are never garbage-collected), so this sweep's
-  // sites include tampered coordinator decision records.
-  EXPECT_EQ(stats.detected + stats.masked, stats.cases);
-  EXPECT_GT(stats.detected, 0u);
-  EXPECT_EQ(stats.audit_events, stats.detected);
-  PrintCoverage("shard-tamper", GetParam(), kShards, stats);
-}
-
-INSTANTIATE_TEST_SUITE_P(Shards, ShardTamperSweepTest,
-                         ::testing::Range(0, 4));
-
-class ShardMid2pcTamperSweepTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ShardMid2pcTamperSweepTest, LivePrepareAndDecisionRecords) {
-  constexpr int kShards = 4;
-  TraceSpec spec = ShardTraceSpec();
-  SweepStats stats;
-  Status status = ShardMid2pcTamperSweep(spec, kRouterShards, GetParam(),
-                                         kShards, &stats);
-  ASSERT_TRUE(status.ok()) << status.ToString();
-  EXPECT_EQ(stats.cases, ShardShare(stats.tamper_sites, GetParam(), kShards));
-  EXPECT_EQ(stats.detected + stats.masked, stats.cases);
-  EXPECT_GT(stats.detected, 0u);
-  EXPECT_EQ(stats.audit_events, stats.detected);
-  PrintCoverage("shard-mid2pc-tamper", GetParam(), kShards, stats);
-}
-
-INSTANTIATE_TEST_SUITE_P(Shards, ShardMid2pcTamperSweepTest,
-                         ::testing::Range(0, 4));
-
-// Object-level cross-shard sweeps (layer=objshard): the same trace commits
-// run as ObjectStore transactions over the sharded router, so multi-object
-// commits whose objects hash to different shards drive the MAC-chained 2PC
-// from the durable-object API down.
-
-class ObjectShardCrashSweepTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ObjectShardCrashSweepTest, Exhaustive) {
-  constexpr int kShards = 4;
-  TraceSpec spec = ShardTraceSpec();
-  SweepStats stats;
-  Status status =
-      ObjectShardCrashSweep(spec, kRouterShards, GetParam(), kShards, &stats);
-  ASSERT_TRUE(status.ok()) << status.ToString();
-
-  Result<uint64_t> writes = CountObjectShardTraceWrites(spec, kRouterShards);
-  ASSERT_TRUE(writes.ok()) << writes.status().ToString();
-  EXPECT_EQ(stats.write_points, writes.value());
-  // Cross-shard object transactions must actually exercise the 2PC window:
-  // staging and decision records ride the same global write index.
-  EXPECT_GT(stats.write_points, spec.commits);
-  EXPECT_EQ(stats.tear_buckets, 5u);
-  EXPECT_EQ(stats.cases, ShardShare(stats.write_points * stats.tear_buckets,
-                                    GetParam(), kShards));
-  PrintCoverage("objshard-crash", GetParam(), kShards, stats);
-}
-
-INSTANTIATE_TEST_SUITE_P(Shards, ObjectShardCrashSweepTest,
-                         ::testing::Range(0, 4));
-
-class ObjectShardTamperSweepTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ObjectShardTamperSweepTest, EveryRegionClass) {
-  constexpr int kShards = 4;
-  TraceSpec spec = ShardTraceSpec();
-  SweepStats stats;
-  Status status =
-      ObjectShardTamperSweep(spec, kRouterShards, GetParam(), kShards, &stats);
-  ASSERT_TRUE(status.ok()) << status.ToString();
-
-  uint64_t site_sum = 0;
-  for (int cls = 0; cls < kRegionClasses; cls++) {
-    EXPECT_GT(stats.sites_per_class[cls], 0u)
-        << "no tamper sites in region class "
-        << RegionClassName(static_cast<RegionClass>(cls));
-    site_sum += stats.sites_per_class[cls];
-  }
-  EXPECT_EQ(stats.tamper_sites, site_sum);
-  EXPECT_EQ(stats.cases, ShardShare(stats.tamper_sites, GetParam(), kShards));
-  // 0 silent acceptances under object-level readback.
-  EXPECT_EQ(stats.detected + stats.masked, stats.cases);
-  EXPECT_GT(stats.detected, 0u);
-  EXPECT_EQ(stats.audit_events, stats.detected);
-  PrintCoverage("objshard-tamper", GetParam(), kShards, stats);
-}
-
-INSTANTIATE_TEST_SUITE_P(Shards, ObjectShardTamperSweepTest,
-                         ::testing::Range(0, 4));
+// Single cases replay through their repro lines.
 
 TEST(ObjectShardHarnessTest, CasesReplayViaReproLine) {
-  TraceSpec spec = ShardTraceSpec();
-  CrashCase crash;
-  crash.write_index = 3;
-  crash.tear_num = 2;
-  ASSERT_TRUE(RunObjectShardCrashCase(spec, kRouterShards, crash).ok());
-
   ReproCase repro;
   repro.layer = "objshard";
   repro.kind = "crash";
   repro.shards = kRouterShards;
-  repro.spec = spec;
-  repro.crash = crash;
+  repro.spec = kShardTrace;
+  repro.crash.write_index = 3;
+  repro.crash.tear_num = 2;
+  ASSERT_TRUE(RunCase(repro).ok());
+
   std::string line = FormatRepro(repro);
   EXPECT_NE(line.find("layer=objshard"), std::string::npos);
   EXPECT_NE(line.find("shards=2"), std::string::npos);
@@ -716,7 +502,7 @@ TEST(ReproTest, ShardLinesRoundTrip) {
   repro.layer = "shard";
   repro.kind = "crash";
   repro.shards = 4;
-  repro.spec = ShardTraceSpec();
+  repro.spec = kShardTrace;
   repro.crash.write_index = 17;
   repro.crash.tear_num = 3;
   std::string line = FormatRepro(repro);
@@ -748,18 +534,14 @@ TEST(ReproTest, ShardLinesRoundTrip) {
 }
 
 TEST(ShardHarnessTest, SingleCrashAndTamperCasesReplayViaReproLine) {
-  TraceSpec spec = ShardTraceSpec();
-  CrashCase crash;
-  crash.write_index = 3;
-  crash.tear_num = 2;
-  ASSERT_TRUE(RunShardCrashCase(spec, kRouterShards, crash).ok());
-
   ReproCase repro;
   repro.layer = "shard";
   repro.kind = "crash";
   repro.shards = kRouterShards;
-  repro.spec = spec;
-  repro.crash = crash;
+  repro.spec = kShardTrace;
+  repro.crash.write_index = 3;
+  repro.crash.tear_num = 2;
+  ASSERT_TRUE(RunCase(repro).ok());
   EXPECT_TRUE(ReplayRepro(FormatRepro(repro)).ok());
 }
 
@@ -809,61 +591,71 @@ class LossyStore : public platform::UntrustedStore {
   mutable uint64_t writes_ = 0;
 };
 
+// The lying store goes under the fault injector of every case's store
+// environment, whatever the layer above it, so each layer's oracle must
+// catch it. The dropped write must precede a durable commit (losing
+// nondurable work is legitimate), which kCollection's lone leading durable
+// commit does not offer: the collection layer runs kObject's trace.
 TEST(HarnessSelfTest, CatchesLyingStoreAndReproLineReplays) {
-  TraceSpec spec = ChunkStrictSpec();
+  const std::pair<const char*, TraceSpec> layers[] = {
+      {"chunk", kChunkStrict}, {"object", kObject}, {"collection", kObject}};
+  for (const auto& [layer, spec] : layers) {
+    SCOPED_TRACE(layer);
+    ReproCase sweep;
+    sweep.layer = layer;
+    sweep.spec = spec;
 
-  // Measure the total write count (open + trace) with a pass-through
-  // wrapper, then aim the drop at the middle of the trace.
-  std::vector<std::unique_ptr<LossyStore>> stores;
-  auto probe_wrap = [&](platform::UntrustedStore* base) {
-    stores.push_back(std::make_unique<LossyStore>(base, ~0ull));
-    return stores.back().get();
-  };
-  Result<uint64_t> counted = CountChunkTraceWrites(spec, probe_wrap);
-  ASSERT_TRUE(counted.ok()) << counted.status().ToString();
-  uint64_t total_writes = stores.back()->writes();
-  ASSERT_GT(total_writes, counted.value());  // Open itself writes.
-  // Drop the trace's third write: an early log record that later durable
-  // commits (and the forced mid-trace checkpoint) depend on.
-  uint64_t drop = total_writes - counted.value() + 2;
+    // Measure the total write count (open + trace) with a pass-through
+    // wrapper, then aim the drop at the middle of the trace.
+    std::vector<std::unique_ptr<LossyStore>> stores;
+    auto probe_wrap = [&](platform::UntrustedStore* base) {
+      stores.push_back(std::make_unique<LossyStore>(base, ~0ull));
+      return stores.back().get();
+    };
+    Result<uint64_t> counted = CountWrites(sweep, probe_wrap);
+    ASSERT_TRUE(counted.ok()) << counted.status().ToString();
+    uint64_t total_writes = stores.back()->writes();
+    ASSERT_GT(total_writes, counted.value());  // Open itself writes.
+    // Drop the trace's third write: an early log record that later durable
+    // commits depend on.
+    uint64_t drop = total_writes - counted.value() + 2;
 
-  auto lossy_wrap = [&](platform::UntrustedStore* base) {
-    stores.push_back(std::make_unique<LossyStore>(base, drop));
-    return stores.back().get();
-  };
-  Status swept = ChunkCrashSweep(spec, 0, 1, nullptr, -1, lossy_wrap);
-  ASSERT_FALSE(swept.ok())
-      << "harness failed to catch a store that drops writes";
+    auto lossy_wrap = [&](platform::UntrustedStore* base) {
+      stores.push_back(std::make_unique<LossyStore>(base, drop));
+      return stores.back().get();
+    };
+    Status swept = Sweep(sweep, 0, 1, nullptr, lossy_wrap);
+    ASSERT_FALSE(swept.ok())
+        << "harness failed to catch a store that drops writes";
 
-  // The failure message leads with a single-line repro.
-  std::string message(swept.message());
-  ASSERT_EQ(message.rfind("TDB-REPRO v1 ", 0), 0u) << message;
-  std::string line = message.substr(0, message.find(" | "));
+    // The failure message leads with a single-line repro.
+    std::string message(swept.message());
+    ASSERT_EQ(message.rfind("TDB-REPRO v1 ", 0), 0u) << message;
+    std::string line = message.substr(0, message.find(" | "));
 
-  // The line parses back to the failing case...
-  Result<ReproCase> parsed = ParseRepro(line);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed.value().layer, "chunk");
-  EXPECT_EQ(parsed.value().kind, "crash");
-  EXPECT_EQ(parsed.value().spec.seed, spec.seed);
+    // The line parses back to the failing case...
+    Result<ReproCase> parsed = ParseRepro(line);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_EQ(parsed.value().layer, layer);
+    EXPECT_EQ(parsed.value().kind, "crash");
+    EXPECT_EQ(parsed.value().spec.seed, spec.seed);
 
-  // ...and replaying it in the same buggy environment reproduces the
-  // failure, while replaying it against the real store passes.
-  Status replayed = RunChunkCrashCase(parsed.value().spec,
-                                      parsed.value().crash, nullptr,
-                                      lossy_wrap);
-  EXPECT_FALSE(replayed.ok());
-  EXPECT_EQ(std::string(replayed.message()).rfind("TDB-REPRO v1 ", 0), 0u);
+    // ...and replaying it in the same buggy environment reproduces the
+    // failure, while replaying it against the real store passes.
+    Status replayed = RunCase(parsed.value(), nullptr, lossy_wrap);
+    EXPECT_FALSE(replayed.ok());
+    EXPECT_EQ(std::string(replayed.message()).rfind("TDB-REPRO v1 ", 0), 0u);
 
-  Status clean = ReplayRepro(line);
-  EXPECT_TRUE(clean.ok()) << clean.ToString();
+    Status clean = ReplayRepro(line);
+    EXPECT_TRUE(clean.ok()) << clean.ToString();
+  }
 }
 
-// ReplayRepro routes every layer tag to the matching driver.
+// ReplayRepro routes every layer tag and kind to the engine.
 TEST(HarnessSelfTest, ReplayReproRoutesLayers) {
   ReproCase repro;
   repro.kind = "crash";
-  repro.spec = CollectionSpec();
+  repro.spec = kCollection;
   repro.crash.write_index = 3;
   repro.crash.tear_num = 2;
   repro.crash.tear_den = 4;
@@ -876,21 +668,61 @@ TEST(HarnessSelfTest, ReplayReproRoutesLayers) {
   Status object = ReplayRepro(FormatRepro(repro));
   EXPECT_TRUE(object.ok()) << object.ToString();
 
+  // Tamper repros replay at every layer, not only chunk and scenario.
+  repro.kind = "tamper";
+  repro.tamper_file = "anchor-0";
+  repro.tamper_offset = 0;
+  repro.tamper_mask = kTamperMask;
+  for (const char* layer : {"object", "collection"}) {
+    repro.layer = layer;
+    Status tamper = ReplayRepro(FormatRepro(repro));
+    EXPECT_TRUE(tamper.ok()) << tamper.ToString();
+  }
+
   EXPECT_FALSE(ReplayRepro("TDB-REPRO v1 layer=nope kind=crash").ok());
+}
+
+// A campaign built in code is validated like a parsed repro line: a sharded
+// layer without a shard count must not quietly run as a single store.
+TEST(HarnessSelfTest, SweepRejectsInvalidCampaign) {
+  for (const char* layer : {"shard", "objshard"}) {
+    for (const char* kind : {"crash", "tamper"}) {
+      ReproCase repro;
+      repro.layer = layer;
+      repro.kind = kind;
+      repro.spec = kShardTrace;
+      repro.shards = 0;
+      SweepStats stats;
+      Status swept = Sweep(repro, 0, 1, &stats);
+      EXPECT_EQ(swept.code(), Status::Code::kInvalidArgument)
+          << layer << " " << kind << ": " << swept.ToString();
+      EXPECT_EQ(stats.cases, 0u);
+      EXPECT_EQ(CountWrites(repro).status().code(),
+                Status::Code::kInvalidArgument)
+          << layer;
+    }
+  }
+  ReproCase unknown;
+  unknown.layer = "nope";
+  EXPECT_EQ(Sweep(unknown, 0, 1).code(), Status::Code::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------
 // Region classifier sanity on a real image.
 
 TEST(RegionMapTest, ClassifiesWholeImage) {
-  // Build a real store image via the tamper-context path: run a trace
-  // cleanly, then classify the resulting files.
-  TraceSpec spec = TamperSpec();
-  Result<uint64_t> writes = CountChunkTraceWrites(spec);
+  // Build a real store image via the tamper path: run a trace cleanly,
+  // then classify the resulting files.
+  ReproCase repro;
+  repro.spec = kTamper;
+  Result<uint64_t> writes = CountWrites(repro);
   ASSERT_TRUE(writes.ok());
 
-  // RunChunkTamperCase on a fixed site exercises classify + evaluate.
-  Status status = RunChunkTamperCase(spec, "anchor-0", 0, 0x40);
+  // A tamper case on a fixed site exercises classify + evaluate.
+  repro.kind = "tamper";
+  repro.tamper_file = "anchor-0";
+  repro.tamper_mask = 0x40;
+  Status status = RunCase(repro);
   EXPECT_TRUE(status.ok()) << status.ToString();
 }
 

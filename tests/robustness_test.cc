@@ -9,7 +9,7 @@
 #include "chunk/anchor.h"
 #include "chunk/chunk_store.h"
 #include "common/random.h"
-#include "harness/chunk_driver.h"
+#include "harness/engine.h"
 #include "harness/trace.h"
 #include "platform/fault_injection.h"
 #include "platform/mem_store.h"
@@ -47,8 +47,10 @@ TEST_P(RepeatedCrashTest, SurvivesEveryCrashPoint) {
   spec.commits = 8;
   spec.slots = 8;
   spec.preset = harness::Preset::kStrict;
+  harness::ReproCase repro;
+  repro.spec = spec;
   harness::SweepStats stats;
-  Status status = harness::ChunkCrashSweep(spec, GetParam(), kShards, &stats);
+  Status status = harness::Sweep(repro, GetParam(), kShards, &stats);
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_GT(stats.cases, 0u);
   // This shard ran exactly its residue class of the full campaign.
@@ -70,9 +72,11 @@ TEST_P(RecoveryCrashTest, SurvivesCrashDuringRecovery) {
   spec.commits = 6;
   spec.slots = 8;
   spec.preset = harness::Preset::kStrict;
+  harness::ReproCase repro;
+  repro.spec = spec;
+  repro.crash.recovery_crash = GetParam();
   harness::SweepStats stats;
-  Status status = harness::ChunkCrashSweep(spec, 0, 1, &stats,
-                                           /*recovery_crash=*/GetParam());
+  Status status = harness::Sweep(repro, 0, 1, &stats);
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(stats.cases, stats.write_points * stats.tear_buckets);
 }

@@ -18,9 +18,8 @@
 #include "common/check.h"
 #include "common/random.h"
 #include "crypto/cipher_suite.h"
+#include "harness/engine.h"
 #include "harness/region_map.h"
-#include "harness/replay.h"
-#include "harness/workload_driver.h"
 #include "platform/mem_store.h"
 #include "platform/one_way_counter.h"
 #include "platform/secret_store.h"
@@ -32,9 +31,7 @@
 namespace tdb::workload {
 namespace {
 
-using harness::Scenario;
 using harness::SweepStats;
-using harness::TraceSpec;
 
 // --- Key choosers ----------------------------------------------------------
 
@@ -355,10 +352,9 @@ INSTANTIATE_TEST_SUITE_P(Codec, LargeObjectScenarioTest, ::testing::Bool(),
 // --- Repro grammar ---------------------------------------------------------
 
 TEST(WorkloadReproTest, ScenarioLinesRoundTrip) {
-  for (Scenario scenario : {Scenario::kYcsb, Scenario::kTimeSeries,
-                            Scenario::kLargeObject}) {
+  for (const char* scenario : {"ycsb", "timeseries", "largeobject"}) {
     harness::ReproCase repro;
-    repro.layer = harness::ScenarioName(scenario);
+    repro.layer = scenario;
     repro.kind = "crash";
     repro.spec.seed = 9;
     repro.spec.commits = 5;
@@ -394,29 +390,22 @@ uint64_t ShardShare(uint64_t total, int shard, int num_shards) {
               : 0);
 }
 
-void PrintCoverage(const std::string& campaign, int shard,
-                   const SweepStats& stats) {
-  std::cout << "HARNESS-COVERAGE campaign=" << campaign << " shard=" << shard
-            << "/" << kShards << " write_points=" << stats.write_points
-            << " cases=" << stats.cases << " tamper_sites="
-            << stats.tamper_sites << " detected=" << stats.detected
-            << " masked=" << stats.masked << std::endl;
-}
-
-TraceSpec SweepSpec(uint64_t seed, harness::Preset preset) {
-  TraceSpec spec;
-  spec.seed = seed;
-  spec.commits = 4;
-  spec.slots = 6;
-  spec.preset = preset;
-  return spec;
-}
-
 struct SweepCase {
-  Scenario scenario;
+  const char* scenario;  // The repro layer token.
   uint64_t seed;  // For ycsb, seed % 6 picks the mix.
   harness::Preset preset;
 };
+
+harness::ReproCase SweepRepro(const SweepCase& c, const char* kind) {
+  harness::ReproCase repro;
+  repro.layer = c.scenario;
+  repro.kind = kind;
+  repro.spec.seed = c.seed;
+  repro.spec.commits = 4;
+  repro.spec.slots = 6;
+  repro.spec.preset = c.preset;
+  return repro;
+}
 
 /// Crash sweeps: seed 0 -> mix A (object store), seed 4 -> mix E (B-tree
 /// collection), so both YCSB substrates are swept; the time-series case
@@ -426,28 +415,28 @@ class WorkloadCrashSweepTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 constexpr SweepCase kCrashCases[] = {
-    {Scenario::kYcsb, 0, harness::Preset::kStrict},
-    {Scenario::kYcsb, 4, harness::Preset::kStrict},
-    {Scenario::kTimeSeries, 2, harness::Preset::kCodec},
-    {Scenario::kLargeObject, 2, harness::Preset::kGroup},
+    {"ycsb", 0, harness::Preset::kStrict},
+    {"ycsb", 4, harness::Preset::kStrict},
+    {"timeseries", 2, harness::Preset::kCodec},
+    {"largeobject", 2, harness::Preset::kGroup},
 };
 
 TEST_P(WorkloadCrashSweepTest, Exhaustive) {
   const SweepCase& c = kCrashCases[std::get<0>(GetParam())];
   const int shard = std::get<1>(GetParam());
-  TraceSpec spec = SweepSpec(c.seed, c.preset);
   SweepStats stats;
   Status status =
-      harness::WorkloadCrashSweep(c.scenario, spec, shard, kShards, &stats);
+      harness::Sweep(SweepRepro(c, "crash"), shard, kShards, &stats);
   EXPECT_TRUE(status.ok()) << status.ToString();
   EXPECT_GT(stats.write_points, 0u);
   EXPECT_EQ(stats.cases,
             ShardShare(stats.write_points * stats.tear_buckets, shard,
                        kShards));
-  PrintCoverage(std::string("workload-crash-") +
-                    harness::ScenarioName(c.scenario) + "-seed" +
-                    std::to_string(c.seed),
-                shard, stats);
+  std::cout << harness::FormatCoverage(std::string("workload-crash-") +
+                                           c.scenario + "-seed" +
+                                           std::to_string(c.seed),
+                                       shard, kShards, stats)
+            << std::endl;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -455,7 +444,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Range(0, 4), ::testing::Range(0, kShards)),
     [](const auto& info) {
       const SweepCase& c = kCrashCases[std::get<0>(info.param)];
-      return std::string(harness::ScenarioName(c.scenario)) + "Seed" +
+      return std::string(c.scenario) + "Seed" +
              std::to_string(c.seed) + "Shard" +
              std::to_string(std::get<1>(info.param));
     });
@@ -468,34 +457,35 @@ class WorkloadTamperSweepTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 constexpr SweepCase kTamperCases[] = {
-    {Scenario::kYcsb, 0, harness::Preset::kStrict},
-    {Scenario::kTimeSeries, 2, harness::Preset::kStrict},
-    {Scenario::kLargeObject, 2, harness::Preset::kCodec},
+    {"ycsb", 0, harness::Preset::kStrict},
+    {"timeseries", 2, harness::Preset::kStrict},
+    {"largeobject", 2, harness::Preset::kCodec},
 };
 
 TEST_P(WorkloadTamperSweepTest, EveryRegionClass) {
   const SweepCase& c = kTamperCases[std::get<0>(GetParam())];
   const int shard = std::get<1>(GetParam());
-  TraceSpec spec = SweepSpec(c.seed, c.preset);
   SweepStats stats;
   Status status =
-      harness::WorkloadTamperSweep(c.scenario, spec, shard, kShards, &stats);
+      harness::Sweep(SweepRepro(c, "tamper"), shard, kShards, &stats);
   EXPECT_TRUE(status.ok()) << status.ToString();
   // Full-campaign coverage: the image of every scenario contains all four
   // structural region classes.
   for (int cls = 0; cls < harness::kRegionClasses; cls++) {
     EXPECT_GT(stats.sites_per_class[cls], 0u)
         << "region class " << cls << " absent from the "
-        << harness::ScenarioName(c.scenario) << " image";
+        << c.scenario << " image";
   }
   EXPECT_EQ(stats.detected + stats.masked, stats.cases);
   EXPECT_GT(stats.detected, 0u);
   // Every detection logged exactly one deduplicated audit event; masked
   // cases logged none (already enforced case-by-case; cross-check totals).
   EXPECT_EQ(stats.audit_events, stats.detected);
-  PrintCoverage(std::string("workload-tamper-") +
-                    harness::ScenarioName(c.scenario),
-                shard, stats);
+  EXPECT_EQ(stats.recorder_bundles, stats.detected);
+  std::cout << harness::FormatCoverage(
+                   std::string("workload-tamper-") + c.scenario, shard,
+                   kShards, stats)
+            << std::endl;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -503,7 +493,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Range(0, 3), ::testing::Range(0, kShards)),
     [](const auto& info) {
       const SweepCase& c = kTamperCases[std::get<0>(info.param)];
-      return std::string(harness::ScenarioName(c.scenario)) + "Shard" +
+      return std::string(c.scenario) + "Shard" +
              std::to_string(std::get<1>(info.param));
     });
 

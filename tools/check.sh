@@ -10,14 +10,16 @@
 #   tools/check.sh --metrics     # bench --metrics-json -> tdbstat --check
 #   tools/check.sh --workloads   # workload suite: tests + bench smoke
 #   tools/check.sh --shards      # shard router + 2PC: tests, sweeps, bench
+#   tools/check.sh --harness     # every crash/tamper campaign + coverage totals
 #   tools/check.sh --trace       # causal tracing: tests, export smoke,
 #                                # overhead bench, health gate, OFF build
 #
 # The sanitizer modes configure a separate build directory with
 # -DTDB_SANITIZE=<address|thread> and run a smoke subset (the differential
-# harness, the lock/transaction stress tests, the chunk-store group-commit
-# tests, and the platform fault model) rather than the full suite, so they
-# stay fast enough to run on every change.
+# harness and its scenario-layer campaigns, the lock/transaction stress
+# tests, the chunk-store group-commit tests, and the platform fault model)
+# rather than the full suite, so they stay fast enough to run on every
+# change.
 #
 # --bench-smoke catches bench bit-rot: every google-benchmark binary runs
 # with a tiny min_time and every scripted bench runs at a reduced scale
@@ -40,8 +42,9 @@ case "$mode" in
   --workloads) suffix="-workloads" ;;
   --shards) suffix="-shards" ;;
   --trace) suffix="-trace" ;;
+  --harness) suffix="-harness" ;;
   "") ;;
-  *) echo "usage: tools/check.sh [--asan|--tsan|--bench-smoke|--metrics|--workloads|--shards|--trace]" >&2
+  *) echo "usage: tools/check.sh [--asan|--tsan|--bench-smoke|--metrics|--workloads|--shards|--trace|--harness]" >&2
      exit 2 ;;
 esac
 
@@ -49,11 +52,12 @@ build_dir="${BUILD_DIR:-$repo_root/build-check$suffix}"
 
 if [[ -n "$sanitize" ]]; then
   cmake -B "$build_dir" -S "$repo_root" -DTDB_SANITIZE="$sanitize"
-  # Smoke subset: the harness sweeps (crash + tamper + self-test), the
-  # multi-threaded 2PL stress and group-commit coordinator (the TSan
-  # targets), the lock manager, the torn-write fault model, and the
-  # wait-free metrics registry (8-thread instrument stress).
-  smoke_targets=(harness_test txn_stress_test chunk_store_test
+  # Smoke subset: the harness sweeps (crash + tamper + self-test) and
+  # the scenario-layer campaigns, the multi-threaded 2PL stress and
+  # group-commit coordinator (the TSan targets), the lock manager, the
+  # torn-write fault model, and the wait-free metrics registry (8-thread
+  # instrument stress).
+  smoke_targets=(harness_test workload_test txn_stress_test chunk_store_test
                  shard_store_test lock_manager_test sim_disk_test
                  metrics_test trace_test)
   cmake --build "$build_dir" -j "$(nproc)" --target "${smoke_targets[@]}"
@@ -155,6 +159,65 @@ elif [[ "$mode" == "--trace" ]]; then
   cmake -B "$build_dir-off" -S "$repo_root" -DTDB_TRACE=OFF
   cmake --build "$build_dir-off" -j "$(nproc)" --target tdbstat trace_overhead
   echo "trace check OK: BENCH_trace_overhead.json + trace-smoke.json in $build_dir"
+elif [[ "$mode" == "--harness" ]]; then
+  # The differential crash/tamper harness end to end: every campaign in
+  # harness_test, the scenario campaigns in workload_test, and the
+  # robustness sweeps. Then a totals table of their HARNESS-COVERAGE lines
+  # per campaign: the full-campaign counters (write points, tear buckets,
+  # tamper sites per region class) must agree across a campaign's ctest
+  # shards and print once; the per-shard counters (cases, detected,
+  # masked, audit events, recorder bundles) are summed. Diff the table
+  # against another revision's to prove a change kept coverage.
+  cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
+  targets=(harness_test workload_test robustness_test)
+  cmake --build "$build_dir" -j "$(nproc)" --target "${targets[@]}"
+  for t in "${targets[@]}"; do
+    echo "== $t =="
+    if ! "$build_dir/tests/$t" --gtest_brief=1 > "$build_dir/$t.log" 2>&1; then
+      cat "$build_dir/$t.log"
+      exit 1
+    fi
+  done
+  echo "== coverage totals =="
+  for t in "${targets[@]}"; do cat "$build_dir/$t.log"; done | awk '
+    BEGIN {
+      nfull = split("write_points tear_buckets tamper_sites anchor log payload map", full, " ")
+      nsum = split("cases detected masked audit_events recorder_bundles", summed, " ")
+    }
+    $1 == "HARNESS-COVERAGE" {
+      delete v
+      for (i = 2; i <= NF; i++) {
+        eq = index($i, "=")
+        v[substr($i, 1, eq - 1)] = substr($i, eq + 1)
+      }
+      c = v["campaign"]
+      if (!(c in shards)) order[++n] = c
+      shards[c]++
+      for (i = 1; i <= nfull; i++) {
+        if (shards[c] == 1) {
+          once[c, full[i]] = v[full[i]]
+        } else if (once[c, full[i]] != v[full[i]]) {
+          print "shards disagree: " c " " full[i] > "/dev/stderr"
+          bad = 1
+        }
+      }
+      for (i = 1; i <= nsum; i++) total[c, summed[i]] += v[summed[i]]
+    }
+    END {
+      printf "%-34s %6s", "campaign", "shards"
+      for (i = 1; i <= nfull; i++) printf " %s", full[i]
+      for (i = 1; i <= nsum; i++) printf " %s", summed[i]
+      printf "\n"
+      for (k = 1; k <= n; k++) {
+        c = order[k]
+        printf "%-34s %6d", c, shards[c]
+        for (i = 1; i <= nfull; i++) printf " %" length(full[i]) "d", once[c, full[i]]
+        for (i = 1; i <= nsum; i++) printf " %" length(summed[i]) "d", total[c, summed[i]]
+        printf "\n"
+      }
+      exit bad
+    }'
+  echo "harness check OK"
 elif [[ "$mode" == "--metrics" ]]; then
   # Observability round-trip: a short instrumented bench run emits a
   # metrics snapshot, and tdbstat --check validates it is well-formed and
