@@ -7,13 +7,32 @@
 // Absolute times differ on modern hardware with an in-memory store; the
 // SHAPE to check is TDB < TDB-S < Baseline and TDB writing roughly half
 // the bytes per transaction of the baseline.
+//
+//   tpcb_response [--metrics-json=FILE]
+//
+// --metrics-json writes the TDB-S run's metrics registry to FILE; render
+// it with `tdbstat --snapshot FILE` (bytes by record kind, segment census,
+// cache and commit counters).
 
 #include <cstdio>
+#include <fstream>
+#include <string>
 
 #include "workload/tpcb.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace tdb::bench;
+
+  std::string metrics_path;
+  for (int i = 1; i < argc; i++) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--metrics-json=", 0) == 0) {
+      metrics_path = arg.substr(sizeof("--metrics-json=") - 1);
+    } else {
+      std::fprintf(stderr, "usage: %s [--metrics-json=FILE]\n", argv[0]);
+      return 2;
+    }
+  }
 
   TpcbConfig config;
   config.ApplyEnv();
@@ -46,6 +65,15 @@ int main() {
   tdbs_config.security = tdb::crypto::SecurityConfig::PaperTdbS();
   TpcbResult tdbs = RunTdbTpcb(tdbs_config);
   PrintTpcbRow("TDB-S", tdbs);
+  if (!metrics_path.empty()) {
+    std::ofstream out(metrics_path, std::ios::trunc);
+    out << tdbs.metrics.ToJson() << "\n";
+    if (!out.good()) {
+      std::fprintf(stderr, "cannot write metrics to %s\n",
+                   metrics_path.c_str());
+      return 1;
+    }
+  }
 
   TpcbConfig modern_config = config;
   modern_config.security = tdb::crypto::SecurityConfig::Modern();

@@ -201,24 +201,9 @@ TpcbResult RunTdbTpcb(const TpcbConfig& config) {
       later_txns;
   result.utilization = chunks->stats().utilization();
   result.db_size_bytes = chunks->stats().total_bytes;
-  if (std::getenv("TPCB_DEBUG") != nullptr) {
-    const auto& s = chunks->stats();
-    std::fprintf(stderr,
-                 "[tpcb debug] data=%llu map=%llu commit=%llu reloc=%llu "
-                 "appended=%llu ckpts=%llu cleaned=%llu live=%llu "
-                 "total=%llu\n",
-                 (unsigned long long)s.data_bytes,
-                 (unsigned long long)s.map_bytes,
-                 (unsigned long long)s.commit_bytes,
-                 (unsigned long long)s.relocated_bytes,
-                 (unsigned long long)s.bytes_appended,
-                 (unsigned long long)s.checkpoints,
-                 (unsigned long long)s.cleaned_segments,
-                 (unsigned long long)s.live_bytes,
-                 (unsigned long long)s.total_bytes);
-    chunks->DumpSegmentCensus();
-  }
   Check(chunks->Close(), "close");
+  (void)chunks->Stats();  // Refreshes the segment-census gauges.
+  result.metrics = chunks->metrics()->Snapshot();
   return result;
 }
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/metrics.h"
 #include "crypto/cipher_suite.h"
 
 namespace tdb::bench {
@@ -47,6 +48,9 @@ struct TpcbResult {
   double utilization = 0;         // TDB only: final live/total.
   uint64_t txns = 0;
   double setup_seconds = 0;
+  /// TDB only: the store's metrics registry at the end of the run (byte
+  /// breakdown by record kind, segment census, cache and commit counters).
+  common::MetricsSnapshot metrics;
 };
 
 /// Runs TPC-B against TDB (collection store over the full trusted stack)

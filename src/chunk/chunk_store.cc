@@ -148,6 +148,14 @@ void ChunkStore::BindInstruments() {
   m_.recovery_commits_replayed = r->GetGauge("recovery.commits_replayed");
   m_.recovery_chunks_replayed = r->GetGauge("recovery.chunks_replayed");
   m_.verified_chunks = r->GetCounter("chunk.verify.chunks");
+  const char* kCensusClasses[4] = {"residual", "map_live", "dense",
+                                   "cleanable"};
+  for (int c = 0; c < 4; c++) {
+    const std::string base = std::string("chunk.census.") + kCensusClasses[c];
+    m_.census[c].segments = r->GetGauge((base + ".segments").c_str());
+    m_.census[c].bytes = r->GetGauge((base + ".bytes").c_str());
+    m_.census[c].live_bytes = r->GetGauge((base + ".live_bytes").c_str());
+  }
 }
 
 void ChunkStore::AuditDetect(const char* kind, int region,
@@ -1463,6 +1471,10 @@ ChunkStoreStats ChunkStore::Stats() const {
   // Compatibility accessor over the metrics registry: the same counters
   // the registry snapshot exposes by name, in the struct shape the tests
   // and benchmarks predate the registry with.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    PublishSegmentCensusLocked();
+  }
   auto u = [](int64_t v) { return static_cast<uint64_t>(v); };
   ChunkStoreStats s;
   s.live_bytes = u(m_.live_bytes->value());
@@ -1503,35 +1515,29 @@ ChunkStoreStats ChunkStore::Stats() const {
   return s;
 }
 
-void ChunkStore::DumpSegmentCensus() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t n_resid = 0, resid_total = 0, resid_live = 0;
-  uint64_t n_map = 0, map_total = 0, map_live = 0;
-  uint64_t n_dense = 0, dense_total = 0, dense_live = 0;
-  uint64_t n_clean = 0, clean_total = 0, clean_live = 0;
+void ChunkStore::PublishSegmentCensusLocked() const {
+  struct Tally {
+    int64_t segments = 0, bytes = 0, live_bytes = 0;
+  } tally[4];
   for (const auto& [id, info] : segments_) {
+    SegmentClass c = kCleanable;
     if (id >= scan_segment_) {
-      n_resid++; resid_total += info.total; resid_live += info.live;
+      c = kResidual;
     } else if (info.live_map > 0) {
-      n_map++; map_total += info.total; map_live += info.live;
+      c = kMapLive;
     } else if (static_cast<double>(info.live) >
                options_.max_utilization * info.total) {
-      n_dense++; dense_total += info.total; dense_live += info.live;
-    } else {
-      n_clean++; clean_total += info.total; clean_live += info.live;
+      c = kDense;
     }
+    tally[c].segments++;
+    tally[c].bytes += static_cast<int64_t>(info.total);
+    tally[c].live_bytes += static_cast<int64_t>(info.live);
   }
-  std::fprintf(stderr,
-               "[census] residual: %llu segs %llu/%llu live | maplive: %llu "
-               "segs %llu/%llu | dense: %llu segs %llu/%llu | cleanable: "
-               "%llu segs %llu/%llu\n",
-               (unsigned long long)n_resid, (unsigned long long)resid_live,
-               (unsigned long long)resid_total, (unsigned long long)n_map,
-               (unsigned long long)map_live, (unsigned long long)map_total,
-               (unsigned long long)n_dense, (unsigned long long)dense_live,
-               (unsigned long long)dense_total, (unsigned long long)n_clean,
-               (unsigned long long)clean_live,
-               (unsigned long long)clean_total);
+  for (int c = 0; c < 4; c++) {
+    m_.census[c].segments->Set(tally[c].segments);
+    m_.census[c].bytes->Set(tally[c].bytes);
+    m_.census[c].live_bytes->Set(tally[c].live_bytes);
+  }
 }
 
 Status ChunkStore::Close() {
@@ -1777,6 +1783,7 @@ Status ChunkStore::CleanSegments(const std::vector<uint32_t>& victims) {
     status = FreePendingSegments();
     m_.cleaned_segments->Add(static_cast<int64_t>(victims.size()));
   }
+  PublishSegmentCensusLocked();
   in_maintenance_ = false;
   return status;
 }

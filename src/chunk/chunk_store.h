@@ -481,7 +481,8 @@ class ChunkStore : public ChunkStoreInterface {
 
   /// Operation counters, including cache and group-commit metrics.
   /// Returns a snapshot by value; safe to call concurrently with readers
-  /// and committers.
+  /// and committers. Also refreshes the segment-census gauges
+  /// (`chunk.census.*`) in the registry.
   ChunkStoreStats Stats() const override;
   ChunkStoreStats stats() const { return Stats(); }  // Legacy alias.
 
@@ -498,10 +499,6 @@ class ChunkStore : public ChunkStoreInterface {
 
   /// Flushes a final checkpoint. The destructor calls this best-effort.
   Status Close() override;
-
-  /// Debug: prints a per-region segment census (live/dead/map bytes) to
-  /// stderr. Used by benchmarks under TPCB_DEBUG.
-  void DumpSegmentCensus() const;
 
  private:
   struct SegInfo {
@@ -566,7 +563,23 @@ class ChunkStore : public ChunkStoreInterface {
     common::Gauge* recovery_commits_replayed = nullptr;
     common::Gauge* recovery_chunks_replayed = nullptr;
     common::Counter* verified_chunks = nullptr;
+    // Segment census, indexed by SegmentClass: why space is (not) being
+    // reclaimed. Refreshed by Stats() and after each cleaning pass, never
+    // on the commit path.
+    struct CensusGauges {
+      common::Gauge* segments = nullptr;
+      common::Gauge* bytes = nullptr;
+      common::Gauge* live_bytes = nullptr;
+    };
+    CensusGauges census[4];
   };
+
+  /// Census classes, in the order the cleaner rules them out: segments at
+  /// or past the residual-log scan position (recovery replays them),
+  /// segments holding live map nodes (wait for a checkpoint), segments
+  /// denser than max_utilization (no cleaning yield yet), and the rest,
+  /// which the cleaner may pick.
+  enum SegmentClass { kResidual, kMapLive, kDense, kCleanable };
 
   ChunkStore(platform::UntrustedStore* store,
              platform::OneWayCounter* counter,
@@ -697,6 +710,8 @@ class ChunkStore : public ChunkStoreInterface {
   Result<bool> DirtyMapNodesIn(const std::set<uint32_t>& victims);
   Status CleanSegments(const std::vector<uint32_t>& victims);
   Status FreePendingSegments();
+  // Recounts segments by SegmentClass into the census gauges.
+  void PublishSegmentCensusLocked() const;
   size_t ActiveSnapshots();
 
   void AccountLive(uint32_t segment, int64_t delta, bool is_map = false);

@@ -15,13 +15,13 @@ bool EndsWith(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-// Sums every counter named exactly `suffix` or ending in ".<suffix>" —
+// Sums every instrument named exactly `suffix` or ending in ".<suffix>" —
 // so "chunk.log_syncs" aggregates the unprefixed store and every
 // "shard<k>.chunk.log_syncs" of a sharded one.
-int64_t SumCounterSuffix(const MetricsSnapshot& snap,
-                         const std::string& suffix) {
+int64_t SumSuffix(const std::map<std::string, int64_t>& values,
+                  const std::string& suffix) {
   int64_t total = 0;
-  for (const auto& [name, v] : snap.counters) {
+  for (const auto& [name, v] : values) {
     if (name == suffix || EndsWith(name, "." + suffix)) total += v;
   }
   return total;
@@ -61,9 +61,10 @@ std::vector<HealthIssue> EvaluateHealth(const MetricsSnapshot& snapshot,
 
   // sync_ratio: group commit stopped amortizing syncs.
   {
-    const int64_t durable = SumCounterSuffix(snapshot, "chunk.durable_commits");
-    const int64_t syncs = SumCounterSuffix(snapshot, "chunk.log_syncs");
-    const int64_t groups = SumCounterSuffix(snapshot, "chunk.commit_groups");
+    const int64_t durable =
+        SumSuffix(snapshot.counters, "chunk.durable_commits");
+    const int64_t syncs = SumSuffix(snapshot.counters, "chunk.log_syncs");
+    const int64_t groups = SumSuffix(snapshot.counters, "chunk.commit_groups");
     if (groups > 0 &&
         durable >= static_cast<int64_t>(options.min_commits_for_sync_check)) {
       const double ratio = static_cast<double>(syncs) / durable;
@@ -97,8 +98,8 @@ std::vector<HealthIssue> EvaluateHealth(const MetricsSnapshot& snapshot,
 
   // cache_hit_rate: validated-plaintext cache collapse.
   {
-    const int64_t hits = SumCounterSuffix(snapshot, "chunk.cache.hits");
-    const int64_t misses = SumCounterSuffix(snapshot, "chunk.cache.misses");
+    const int64_t hits = SumSuffix(snapshot.counters, "chunk.cache.hits");
+    const int64_t misses = SumSuffix(snapshot.counters, "chunk.cache.misses");
     const int64_t lookups = hits + misses;
     if (lookups >= static_cast<int64_t>(options.min_cache_lookups)) {
       const double rate = static_cast<double>(hits) / lookups;
@@ -143,6 +144,23 @@ std::vector<HealthIssue> EvaluateHealth(const MetricsSnapshot& snapshot,
     }
   }
 
+  // object_cache_overcommit: bytes no eviction can reclaim (dirty under
+  // no-steal, or pinned by live Refs) exceed the object cache's budget —
+  // a write set larger than the cache, or leaked pins.
+  {
+    const int64_t capacity =
+        SumSuffix(snapshot.gauges, "object.cache.capacity_bytes");
+    const int64_t unevictable =
+        SumSuffix(snapshot.gauges, "object.cache.unevictable_bytes");
+    if (capacity > 0 && unevictable > capacity) {
+      issues.push_back({"object_cache_overcommit",
+                        "object cache holds " + std::to_string(unevictable) +
+                            " unevictable (dirty or pinned) bytes, over its " +
+                            std::to_string(capacity) + "-byte capacity",
+                        {}});
+    }
+  }
+
   // shard_skew: routing imbalance across shard commit counters.
   {
     std::vector<int64_t> per_shard = PerShardDurableCommits(snapshot);
@@ -181,6 +199,7 @@ bool SpanMatchesCheck(const std::string& check, const char* span_name) {
   if (check == "sync_ratio") return EndsWith(name, "chunk.sync");
   if (check == "group_stall") return EndsWith(name, "chunk.group_flush");
   if (check == "cache_hit_rate") return EndsWith(name, "chunk.read");
+  if (check == "object_cache_overcommit") return name == "txn.commit";
   // txn_inflight / shard_skew: anything on the 2PC coordinator path.
   return name == "shard.2pc" || name.rfind("shard", 0) == 0;
 }

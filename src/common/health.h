@@ -30,6 +30,9 @@ struct HealthCheckOptions {
   double min_cache_hit_rate = 0.10;
   uint64_t min_cache_lookups = 1024;
 
+  /// "object_cache_overcommit" has no threshold: it fires while the object
+  /// cache's unevictable (dirty or pinned) bytes exceed its capacity.
+
   /// "txn_inflight": a cross-shard 2PC transaction older than this is
   /// presumed wedged (coordinator death leaves participants in doubt).
   int64_t max_txn_inflight_age_us = 10 * 1000 * 1000;
@@ -46,7 +49,8 @@ struct HealthCheckOptions {
 
 struct HealthIssue {
   std::string check;   // "sync_ratio", "group_stall", "txn_inflight",
-                       // "cache_hit_rate", "shard_skew".
+                       // "cache_hit_rate", "object_cache_overcommit",
+                       // "shard_skew".
   std::string detail;  // Human-readable, includes the offending numbers.
   /// Live monitor: trace ids of recent spans on the implicated path
   /// (worst-duration first), so an operator can jump from the audit event

@@ -24,45 +24,47 @@ bool LockManager::CanGrant(const LockState& state, TxnId txn,
   return true;
 }
 
+void LockManager::Grant(LockState& state, ObjectId oid, TxnId txn,
+                        bool exclusive) {
+  if (exclusive) {
+    state.exclusive = txn;
+    state.shared.erase(txn);  // Upgrade consumes the shared lock.
+  } else if (state.exclusive != txn) {
+    state.shared.insert(txn);
+  }
+  held_[txn].insert(oid);
+  if (acquisitions_metric_ != nullptr) acquisitions_metric_->Increment();
+}
+
 Status LockManager::Lock(TxnId txn, ObjectId oid, bool exclusive,
                          std::unique_lock<std::mutex>& state_lock,
                          std::chrono::milliseconds timeout) {
-  auto deadline = std::chrono::steady_clock::now() + timeout;
-  bool blocked = false;
-  uint64_t wait_start_us = 0;
-  for (;;) {
-    LockState& state = locks_[oid];
-    if (CanGrant(state, txn, exclusive)) {
-      if (exclusive) {
-        state.exclusive = txn;
-        state.shared.erase(txn);  // Upgrade consumes the shared lock.
-      } else if (state.exclusive != txn) {
-        state.shared.insert(txn);
-      }
-      held_[txn].insert(oid);
-      if (acquisitions_metric_ != nullptr) acquisitions_metric_->Increment();
-      if (blocked && wait_us_metric_ != nullptr) {
-        wait_us_metric_->Record(
-            static_cast<int64_t>(common::MonotonicMicros() - wait_start_us));
-      }
-      return Status::OK();
-    }
-    if (!blocked) {
-      blocked = true;
-      wait_start_us = common::MonotonicMicros();
-      if (waits_metric_ != nullptr) waits_metric_->Increment();
-    }
-    // Release the state mutex while waiting (§4.2.3), reacquire on wake.
-    if (cv_.wait_until(state_lock, deadline) == std::cv_status::timeout) {
-      if (timeouts_metric_ != nullptr) timeouts_metric_->Increment();
-      if (wait_us_metric_ != nullptr) {
-        wait_us_metric_->Record(
-            static_cast<int64_t>(common::MonotonicMicros() - wait_start_us));
-      }
-      return Status::LockTimeout("lock on object " + std::to_string(oid) +
-                                 " (possible deadlock)");
-    }
+  // The entry outlives this call's wait: ReleaseAll keeps it while it has
+  // waiters, and std::map references survive other insertions.
+  LockState& state = locks_[oid];
+  if (CanGrant(state, txn, exclusive)) {
+    Grant(state, oid, txn, exclusive);
+    return Status::OK();
   }
+  if (waits_metric_ != nullptr) waits_metric_->Increment();
+  const uint64_t wait_start_us = common::MonotonicMicros();
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  Waiter waiter{txn, exclusive};
+  state.waiters.push_back(&waiter);
+  // Release the state mutex while waiting (§4.2.3), reacquire on wake. A
+  // release grants the lock before waking us (see ReleaseAll).
+  while (!waiter.granted &&
+         cv_.wait_until(state_lock, deadline) != std::cv_status::timeout) {
+  }
+  if (wait_us_metric_ != nullptr) {
+    wait_us_metric_->Record(
+        static_cast<int64_t>(common::MonotonicMicros() - wait_start_us));
+  }
+  if (waiter.granted) return Status::OK();
+  state.waiters.remove(&waiter);
+  if (timeouts_metric_ != nullptr) timeouts_metric_->Increment();
+  return Status::LockTimeout("lock on object " + std::to_string(oid) +
+                             " (possible deadlock)");
 }
 
 void LockManager::ReleaseAll(TxnId txn) {
@@ -74,7 +76,20 @@ void LockManager::ReleaseAll(TxnId txn) {
     LockState& state = lock_it->second;
     state.shared.erase(txn);
     if (state.exclusive == txn) state.exclusive = 0;
-    if (state.shared.empty() && state.exclusive == 0) {
+    // Hand the freed lock to every blocked request it now admits, oldest
+    // first, so no fresh request can take it ahead of them.
+    for (auto w = state.waiters.begin(); w != state.waiters.end();) {
+      Waiter* waiter = *w;
+      if (CanGrant(state, waiter->txn, waiter->exclusive)) {
+        Grant(state, oid, waiter->txn, waiter->exclusive);
+        waiter->granted = true;
+        w = state.waiters.erase(w);
+      } else {
+        ++w;
+      }
+    }
+    if (state.shared.empty() && state.exclusive == 0 &&
+        state.waiters.empty()) {
       locks_.erase(lock_it);
     }
   }

@@ -3,6 +3,7 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <list>
 #include <map>
 #include <mutex>
 #include <set>
@@ -24,6 +25,16 @@ using TxnId = uint64_t;
 /// All methods must be called with the object store's state mutex held (as
 /// a unique_lock); waits release it so other threads can make progress,
 /// exactly the state-mutex protocol §4.2.3 describes.
+///
+/// A release hands each freed lock to the blocked requests it now admits,
+/// oldest first, before any other thread can run. Without the handoff the
+/// releasing thread could retake the lock in its next transaction ahead of
+/// the waiter it woke, so two transactions that lock a pair in opposite
+/// orders could time each other out indefinitely. A fresh request is
+/// still granted whenever it is compatible with the current holders: it
+/// never queues behind a blocked request, which would add wait edges (a
+/// shared request compatible with the readers must not wait for a blocked
+/// upgrader).
 class LockManager {
  public:
   /// Wires contention instruments (all may be null). `acquisitions` counts
@@ -44,7 +55,8 @@ class LockManager {
               std::unique_lock<std::mutex>& state_lock,
               std::chrono::milliseconds timeout);
 
-  /// Releases every lock held by `txn` and wakes waiters.
+  /// Releases every lock held by `txn`, grants the freed locks to the
+  /// blocked requests they admit and wakes waiters.
   void ReleaseAll(TxnId txn);
 
   /// Introspection for tests.
@@ -52,12 +64,21 @@ class LockManager {
   bool HoldsExclusive(TxnId txn, ObjectId oid) const;
 
  private:
+  // A blocked Lock call; lives on the waiting thread's stack.
+  struct Waiter {
+    TxnId txn;
+    bool exclusive;
+    bool granted = false;  // Set by the release that handed the lock over.
+  };
+
   struct LockState {
     std::set<TxnId> shared;
     TxnId exclusive = 0;  // 0 = none.
+    std::list<Waiter*> waiters;  // Oldest first.
   };
 
   bool CanGrant(const LockState& state, TxnId txn, bool exclusive) const;
+  void Grant(LockState& state, ObjectId oid, TxnId txn, bool exclusive);
 
   std::map<ObjectId, LockState> locks_;
   std::map<TxnId, std::set<ObjectId>> held_;

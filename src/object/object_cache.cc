@@ -7,11 +7,17 @@ namespace tdb::object {
 void ObjectCache::AttachMetrics(common::Counter* hits,
                                 common::Counter* misses,
                                 common::Counter* evictions,
-                                common::Gauge* bytes_used) {
+                                common::Gauge* bytes_used,
+                                common::Gauge* capacity_bytes,
+                                common::Gauge* unevictable_bytes) {
   hits_metric_ = hits;
   misses_metric_ = misses;
   evictions_metric_ = evictions;
   bytes_used_metric_ = bytes_used;
+  unevictable_metric_ = unevictable_bytes;
+  if (capacity_bytes != nullptr) {
+    capacity_bytes->Set(static_cast<int64_t>(capacity_));
+  }
 }
 
 Object* ObjectCache::Put(ObjectId oid, std::unique_ptr<Object> object,
@@ -22,8 +28,15 @@ Object* ObjectCache::Put(ObjectId oid, std::unique_ptr<Object> object,
   entry.generation = ++next_generation_;
   entry.object = std::move(object);
   entry.dirty = dirty;
-  lru_.push_front(oid);
-  entry.lru_pos = lru_.begin();
+  entry.evictable = !dirty;
+  if (dirty) {
+    entry.pos = held_.insert(held_.end(), oid);
+    unevictable_ += entry.charge;
+    MirrorUnevictable();
+  } else {
+    lru_.push_front(oid);
+    entry.pos = lru_.begin();
+  }
   size_ += entry.charge;
   Object* raw = entry.object.get();
   entries_.emplace(oid, std::move(entry));
@@ -36,14 +49,30 @@ Object* ObjectCache::Get(ObjectId oid) {
   if (it == entries_.end()) return nullptr;
   stats_.hits++;
   if (hits_metric_ != nullptr) hits_metric_->Increment();
-  Touch(oid);
-  return it->second.object.get();
+  Entry& entry = it->second;
+  if (entry.evictable) lru_.splice(lru_.begin(), lru_, entry.pos);
+  return entry.object.get();
+}
+
+void ObjectCache::Relink(Entry& entry) {
+  const bool evictable = entry.pins == 0 && !entry.dirty;
+  if (evictable == entry.evictable) return;
+  entry.evictable = evictable;
+  if (evictable) {
+    lru_.splice(lru_.begin(), held_, entry.pos);
+    unevictable_ -= entry.charge;
+  } else {
+    held_.splice(held_.end(), lru_, entry.pos);
+    unevictable_ += entry.charge;
+  }
+  MirrorUnevictable();
 }
 
 uint64_t ObjectCache::Pin(ObjectId oid) {
   auto it = entries_.find(oid);
   TDB_CHECK(it != entries_.end(), "pin of uncached object");
   it->second.pins++;
+  Relink(it->second);
   return it->second.generation;
 }
 
@@ -57,12 +86,14 @@ void ObjectCache::Unpin(ObjectId oid, uint64_t generation) {
   }
   TDB_DCHECK(it->second.pins > 0);
   if (it->second.pins > 0) it->second.pins--;
+  Relink(it->second);
 }
 
 void ObjectCache::SetDirty(ObjectId oid, bool dirty) {
   auto it = entries_.find(oid);
   TDB_CHECK(it != entries_.end(), "dirty mark of uncached object");
   it->second.dirty = dirty;
+  Relink(it->second);
 }
 
 bool ObjectCache::IsDirty(ObjectId oid) const {
@@ -73,31 +104,27 @@ bool ObjectCache::IsDirty(ObjectId oid) const {
 void ObjectCache::Erase(ObjectId oid) {
   auto it = entries_.find(oid);
   if (it == entries_.end()) return;
-  size_ -= it->second.charge;
-  lru_.erase(it->second.lru_pos);
+  Entry& entry = it->second;
+  size_ -= entry.charge;
+  if (entry.evictable) {
+    lru_.erase(entry.pos);
+  } else {
+    held_.erase(entry.pos);
+    unevictable_ -= entry.charge;
+    MirrorUnevictable();
+  }
   entries_.erase(it);
   MirrorSize();
 }
 
-void ObjectCache::Touch(ObjectId oid) {
-  auto it = entries_.find(oid);
-  if (it == entries_.end()) return;
-  lru_.erase(it->second.lru_pos);
-  lru_.push_front(oid);
-  it->second.lru_pos = lru_.begin();
-}
-
 void ObjectCache::EnforceCapacity() {
   if (size_ <= capacity_) return;
-  // Walk from the LRU tail, skipping pinned/dirty entries.
-  auto it = lru_.end();
-  while (size_ > capacity_ && it != lru_.begin()) {
-    --it;
-    auto entry_it = entries_.find(*it);
+  // Everything on lru_ is evictable: pop from the tail, never skip.
+  while (size_ > capacity_ && !lru_.empty()) {
+    auto entry_it = entries_.find(lru_.back());
     TDB_DCHECK(entry_it != entries_.end());
-    if (entry_it->second.pins > 0 || entry_it->second.dirty) continue;
     size_ -= entry_it->second.charge;
-    it = lru_.erase(it);
+    lru_.pop_back();
     entries_.erase(entry_it);
     stats_.evictions++;
     if (evictions_metric_ != nullptr) evictions_metric_->Increment();

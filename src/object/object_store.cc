@@ -160,7 +160,9 @@ void ObjectStore::BindInstruments() {
   m_.lock_wait_us = r->GetHistogram("txn.lock_wait_us");
   m_.unpickle_us = r->GetHistogram("object.unpickle_us");
   cache_.AttachMetrics(m_.cache_hits, m_.cache_misses, m_.cache_evictions,
-                       m_.cache_bytes_used);
+                       m_.cache_bytes_used,
+                       r->GetGauge("object.cache.capacity_bytes"),
+                       r->GetGauge("object.cache.unevictable_bytes"));
   locks_.AttachMetrics(m_.lock_acquisitions, m_.lock_waits, m_.lock_timeouts,
                        m_.lock_wait_us);
 }

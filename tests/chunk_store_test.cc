@@ -653,6 +653,20 @@ TEST(ChunkStoreCleanerTest, CleaningBoundsDatabaseSize) {
                    6 * options.segment_size;
   EXPECT_LT(stats.total_bytes, bound)
       << "live=" << stats.live_bytes << " total=" << stats.total_bytes;
+  // Stats() refreshed the segment census: its four classes partition the
+  // log's segments, bytes and live bytes.
+  common::MetricsSnapshot snap = (*cs)->metrics()->Snapshot();
+  int64_t segments = 0, bytes = 0, live = 0;
+  for (const char* c : {"residual", "map_live", "dense", "cleanable"}) {
+    const std::string base = std::string("chunk.census.") + c;
+    ASSERT_TRUE(snap.gauges.count(base + ".segments")) << base;
+    segments += snap.gauges[base + ".segments"];
+    bytes += snap.gauges[base + ".bytes"];
+    live += snap.gauges[base + ".live_bytes"];
+  }
+  EXPECT_EQ(segments, static_cast<int64_t>(stats.segments));
+  EXPECT_EQ(bytes, static_cast<int64_t>(stats.total_bytes));
+  EXPECT_EQ(live, static_cast<int64_t>(stats.live_bytes));
   // And the data is all still there.
   for (ChunkId cid : cids) {
     EXPECT_TRUE((*cs)->Read(cid).ok()) << cid;

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
+#include <optional>
+#include <string>
 #include <thread>
 
+#include "common/health.h"
 #include "common/random.h"
 #include "platform/mem_store.h"
 #include "platform/one_way_counter.h"
@@ -642,6 +646,279 @@ TEST(ObjectCacheTest, UnitTestsPinAndDirty) {
   }
   cache.EnforceCapacity();
   EXPECT_EQ(cache.Get(20), nullptr);  // Now evictable, and evicted.
+}
+
+// An object whose cache charge the test chooses (ApproxSize + 64).
+class SizedObject : public Object {
+ public:
+  explicit SizedObject(size_t size) : size_(size) {}
+  ClassId class_id() const override { return kMeterClass; }
+  void Pickle(Pickler*) const override {}
+  Status UnpickleFrom(Unpickler*) override { return Status::OK(); }
+  size_t ApproxSize() const override { return size_; }
+
+ private:
+  size_t size_;
+};
+
+// Reference model of the cache's contract: dirty or pinned entries are
+// never evicted; the victim is always the least-recent evictable entry,
+// where recency is the later of the last Get/Put and the moment the
+// entry last became evictable; after EnforceCapacity the cache is within
+// capacity unless every remaining entry is unevictable.
+class ObjectCacheModel {
+ public:
+  struct Entry {
+    size_t charge = 0;
+    int pins = 0;
+    bool dirty = false;
+    uint64_t generation = 0;
+    uint64_t stamp = 0;
+    bool evictable() const { return pins == 0 && !dirty; }
+  };
+
+  explicit ObjectCacheModel(size_t capacity) : capacity_(capacity) {}
+
+  void Put(ObjectId oid, size_t charge, bool dirty) {
+    entries_[oid] = Entry{charge, 0, dirty, ++generation_, ++clock_};
+  }
+  bool Get(ObjectId oid) {
+    auto it = entries_.find(oid);
+    if (it == entries_.end()) return false;
+    it->second.stamp = ++clock_;
+    return true;
+  }
+  uint64_t Pin(ObjectId oid) {
+    Entry& e = entries_.at(oid);
+    e.pins++;
+    return e.generation;
+  }
+  void Unpin(ObjectId oid, uint64_t generation) {
+    auto it = entries_.find(oid);
+    if (it == entries_.end() || it->second.generation != generation ||
+        it->second.pins == 0) {
+      return;
+    }
+    Change(it->second, [](Entry& e) { e.pins--; });
+  }
+  void SetDirty(ObjectId oid, bool dirty) {
+    Change(entries_.at(oid), [dirty](Entry& e) { e.dirty = dirty; });
+  }
+  void Erase(ObjectId oid) { entries_.erase(oid); }
+
+  // Returns the evicted ids, oldest first.
+  std::vector<ObjectId> EnforceCapacity() {
+    std::vector<ObjectId> victims;
+    while (size_bytes() > capacity_) {
+      auto victim = entries_.end();
+      for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+        if (!it->second.evictable()) continue;
+        if (victim == entries_.end() ||
+            it->second.stamp < victim->second.stamp) {
+          victim = it;
+        }
+      }
+      if (victim == entries_.end()) break;
+      victims.push_back(victim->first);
+      entries_.erase(victim);
+    }
+    return victims;
+  }
+
+  size_t size_bytes() const {
+    size_t total = 0;
+    for (const auto& [oid, e] : entries_) total += e.charge;
+    return total;
+  }
+  size_t unevictable_bytes() const {
+    size_t total = 0;
+    for (const auto& [oid, e] : entries_) {
+      if (!e.evictable()) total += e.charge;
+    }
+    return total;
+  }
+  const std::map<ObjectId, Entry>& entries() const { return entries_; }
+
+ private:
+  // Applies `mutate`; an entry that becomes evictable is the most recent.
+  template <typename F>
+  void Change(Entry& e, F mutate) {
+    const bool was = e.evictable();
+    mutate(e);
+    if (!was && e.evictable()) e.stamp = ++clock_;
+  }
+
+  size_t capacity_;
+  uint64_t clock_ = 0;
+  uint64_t generation_ = 0;
+  std::map<ObjectId, Entry> entries_;
+};
+
+TEST(ObjectCacheTest, MatchesReferenceModelUnderRandomOps) {
+  constexpr ObjectId kIds = 24;
+  constexpr size_t kCapacity = 1500;
+  for (uint64_t seed = 1; seed <= 8; seed++) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Random rng(seed);
+    ObjectCache cache(kCapacity);
+    ObjectCacheModel model(kCapacity);
+    // Outstanding pins, including ones whose entry was since erased or
+    // replaced (their release must be a no-op).
+    std::vector<std::pair<ObjectId, uint64_t>> pins;
+    uint64_t evictions = 0;
+
+    for (int op = 0; op < 4000; op++) {
+      const ObjectId oid = 1 + rng.Uniform(kIds);
+      const bool cached = model.entries().count(oid) > 0;
+      const uint64_t pick = rng.Uniform(100);
+      std::string what;
+      if (pick < 25) {
+        const size_t size = 8 + rng.Uniform(200);
+        const bool dirty = rng.Bernoulli(0.3);
+        cache.Put(oid, std::make_unique<SizedObject>(size), dirty);
+        model.Put(oid, size + 64, dirty);
+        what = "put";
+      } else if (pick < 50) {
+        ASSERT_EQ(cache.Get(oid) != nullptr, model.Get(oid)) << "op " << op;
+        what = "get";
+      } else if (pick < 60) {
+        if (!cached) continue;
+        const uint64_t generation = cache.Pin(oid);
+        ASSERT_EQ(generation, model.Pin(oid)) << "op " << op;
+        pins.push_back({oid, generation});
+        what = "pin";
+      } else if (pick < 70) {
+        if (pins.empty()) continue;
+        const size_t i = rng.Uniform(pins.size());
+        const auto [pinned, generation] = pins[i];
+        pins.erase(pins.begin() + static_cast<ptrdiff_t>(i));
+        cache.Unpin(pinned, generation);
+        model.Unpin(pinned, generation);
+        what = "unpin";
+      } else if (pick < 80) {
+        if (!cached) continue;
+        const bool dirty = rng.Bernoulli(0.4);
+        cache.SetDirty(oid, dirty);
+        model.SetDirty(oid, dirty);
+        what = "set_dirty";
+      } else if (pick < 85) {
+        cache.Erase(oid);
+        model.Erase(oid);
+        what = "erase";
+      } else {
+        std::vector<ObjectId> unevictable;
+        for (const auto& [id, e] : model.entries()) {
+          if (!e.evictable()) unevictable.push_back(id);
+        }
+        cache.EnforceCapacity();
+        for (ObjectId id : unevictable) {
+          ASSERT_TRUE(cache.Contains(id)) << "op " << op << " evicted " << id;
+        }
+        const std::vector<ObjectId> victims = model.EnforceCapacity();
+        evictions += victims.size();
+        what = "enforce";
+        if (cache.size_bytes() > kCapacity) {
+          // Over capacity only when nothing left is evictable.
+          for (const auto& [id, e] : model.entries()) {
+            ASSERT_FALSE(e.evictable()) << "op " << op << " oid " << id;
+          }
+        }
+      }
+      // Same contents, occupancy and unevictable bytes after every step.
+      for (ObjectId id = 1; id <= kIds; id++) {
+        ASSERT_EQ(cache.Contains(id), model.entries().count(id) > 0)
+            << "op " << op << " (" << what << ") oid " << id;
+        if (cache.Contains(id)) {
+          ASSERT_EQ(cache.IsDirty(id), model.entries().at(id).dirty);
+        }
+      }
+      ASSERT_EQ(cache.size_bytes(), model.size_bytes()) << "op " << op;
+      ASSERT_EQ(cache.unevictable_bytes(), model.unevictable_bytes())
+          << "op " << op;
+      ASSERT_EQ(cache.stats().evictions, evictions) << "op " << op;
+    }
+  }
+}
+
+TEST(ObjectCacheTest, OvercommitHealthRuleFiresAndClears) {
+  ObjectStoreOptions options;
+  options.cache_capacity_bytes = 4000;
+  Env env(options);
+  common::MetricsRegistry* registry = env.chunks->metrics().get();
+  auto gauge = [&](const char* name) {
+    return registry->GetGauge(name)->value();
+  };
+  auto overcommitted = [&] {
+    for (const common::HealthIssue& issue :
+         common::EvaluateHealth(registry->Snapshot(), {}, /*now_us=*/0)) {
+      if (issue.check == "object_cache_overcommit") return true;
+    }
+    return false;
+  };
+  EXPECT_EQ(gauge("object.cache.capacity_bytes"), 4000);
+
+  ObjectId profile_id;
+  {
+    Transaction txn(env.objects.get());
+    auto profile = std::make_unique<Profile>();
+    profile->meters_.assign(200, 1);  // About 1.7 KB of cache charge.
+    profile_id = *txn.Insert(std::move(profile));
+    ASSERT_TRUE(txn.Commit().ok());
+  }
+  EXPECT_EQ(gauge("object.cache.unevictable_bytes"), 0);
+
+  // A Ref held by a reader pins its object; alone it fits the budget.
+  std::optional<ReadonlyRef<Profile>> held;
+  Transaction reader(env.objects.get());
+  {
+    auto ref = reader.OpenReadonly<Profile>(profile_id);
+    ASSERT_TRUE(ref.ok());
+    held = *ref;
+  }
+  const int64_t held_bytes = gauge("object.cache.unevictable_bytes");
+  EXPECT_GT(held_bytes, 1600);
+  EXPECT_FALSE(overcommitted());
+
+  // A write set that, with the held Ref, exceeds the capacity.
+  {
+    Transaction load(env.objects.get());
+    for (int i = 0; i < 40; i++) {
+      ASSERT_TRUE(load.Insert(std::make_unique<Meter>(i, 0, 0)).ok());
+    }
+    EXPECT_GT(gauge("object.cache.unevictable_bytes"), 4000);
+    EXPECT_TRUE(overcommitted());
+    ASSERT_TRUE(load.Commit().ok());
+  }
+  EXPECT_EQ(gauge("object.cache.unevictable_bytes"), held_bytes);
+  EXPECT_FALSE(overcommitted());
+
+  ASSERT_TRUE(reader.Commit().ok());
+  held.reset();  // The last copy of the Ref drops the pin.
+  EXPECT_EQ(gauge("object.cache.unevictable_bytes"), 0);
+  EXPECT_FALSE(overcommitted());
+}
+
+TEST(ObjectCacheTest, OverCommittedWriteSetEvictsOnlyCleanEntries) {
+  // A write set several times the capacity: every eviction pass pops
+  // clean entries only, and the dirty ones all survive until cleaned.
+  ObjectCache cache(1000);
+  for (ObjectId oid = 1; oid <= 5; oid++) {
+    cache.Put(oid, std::make_unique<SizedObject>(36), /*dirty=*/false);
+  }
+  for (ObjectId oid = 100; oid < 200; oid++) {
+    cache.Put(oid, std::make_unique<SizedObject>(36), /*dirty=*/true);
+    cache.EnforceCapacity();
+  }
+  EXPECT_EQ(cache.stats().evictions, 5u);
+  EXPECT_EQ(cache.entry_count(), 100u);
+  EXPECT_EQ(cache.unevictable_bytes(), 100u * 100);
+  EXPECT_EQ(cache.size_bytes(), cache.unevictable_bytes());
+  for (ObjectId oid = 100; oid < 200; oid++) cache.SetDirty(oid, false);
+  EXPECT_EQ(cache.unevictable_bytes(), 0u);
+  cache.EnforceCapacity();
+  EXPECT_EQ(cache.entry_count(), 10u);
+  // The most recently cleaned entries stay.
+  for (ObjectId oid = 190; oid < 200; oid++) EXPECT_TRUE(cache.Contains(oid));
 }
 
 // ------------------------------------------------------------ transactions

@@ -719,6 +719,21 @@ TEST_F(TraceTest, HealthFlagsCacheCollapseAndShardSkew) {
   EXPECT_TRUE(EvaluateHealth(skewed, {}, 0).empty());
 }
 
+TEST_F(TraceTest, HealthFlagsObjectCacheOvercommit) {
+  MetricsSnapshot snap;
+  snap.gauges["object.cache.capacity_bytes"] = 1000;
+  snap.gauges["object.cache.unevictable_bytes"] = 1000;
+  EXPECT_TRUE(EvaluateHealth(snap, {}, 0).empty());  // Full, not over.
+  snap.gauges["object.cache.unevictable_bytes"] = 1500;
+  std::vector<HealthIssue> issues = EvaluateHealth(snap, {}, 0);
+  ASSERT_EQ(issues.size(), 1u);
+  EXPECT_EQ(issues[0].check, "object_cache_overcommit");
+  EXPECT_NE(issues[0].detail.find("1500"), std::string::npos);
+  // No budget configured (or no object store at all): nothing to exceed.
+  snap.gauges["object.cache.capacity_bytes"] = 0;
+  EXPECT_TRUE(EvaluateHealth(snap, {}, 0).empty());
+}
+
 TEST_F(TraceTest, HealthFlagsInflightTxnOfflineAndAged) {
   MetricsSnapshot snap;
   snap.gauges["shard.router.txn_inflight"] = 1;

@@ -17,9 +17,9 @@
 # The sanitizer modes configure a separate build directory with
 # -DTDB_SANITIZE=<address|thread> and run a smoke subset (the differential
 # harness and its scenario-layer campaigns, the lock/transaction stress
-# tests, the chunk-store group-commit tests, and the platform fault model)
-# rather than the full suite, so they stay fast enough to run on every
-# change.
+# tests, the chunk-store group-commit tests, the object and collection
+# stores, and the platform fault model) rather than the full suite, so
+# they stay fast enough to run on every change.
 #
 # --bench-smoke catches bench bit-rot: every google-benchmark binary runs
 # with a tiny min_time and every scripted bench runs at a reduced scale
@@ -55,11 +55,13 @@ if [[ -n "$sanitize" ]]; then
   # Smoke subset: the harness sweeps (crash + tamper + self-test) and
   # the scenario-layer campaigns, the multi-threaded 2PL stress and
   # group-commit coordinator (the TSan targets), the lock manager, the
-  # torn-write fault model, and the wait-free metrics registry (8-thread
-  # instrument stress).
+  # torn-write fault model, the wait-free metrics registry (8-thread
+  # instrument stress), and the object and collection stores (the object
+  # cache's list-iterator bookkeeping under pins, aborts and eviction).
   smoke_targets=(harness_test workload_test txn_stress_test chunk_store_test
                  shard_store_test lock_manager_test sim_disk_test
-                 metrics_test trace_test)
+                 metrics_test trace_test object_store_test
+                 collection_store_test)
   cmake --build "$build_dir" -j "$(nproc)" --target "${smoke_targets[@]}"
   for t in "${smoke_targets[@]}"; do
     echo "== $t ($sanitize sanitizer) =="

@@ -24,8 +24,9 @@
 //
 //   tdbstat --health <metrics.json>
 //     Runs the offline health invariants (sync amortization ratio, group
-//     flush stall, cache collapse, leaked in-flight 2PC, shard skew) over
-//     a persisted snapshot. Exit 0 when clean, 1 when any check fires.
+//     flush stall, cache collapse, object-cache over-commit, leaked
+//     in-flight 2PC, shard skew) over a persisted snapshot. Exit 0 when
+//     clean, 1 when any check fires.
 //
 //   tdbstat --trace <trace.json>
 //     Validates a Chrome/Perfetto trace file exported by TDB: parses it
@@ -228,7 +229,37 @@ const char* RegionName(int region) {
   }
 }
 
+// Resource budgets an operator asks about first: how full the object
+// cache is and how much of it no eviction can reclaim, and where the log's
+// segments sit relative to the cleaner (why space is not reclaimed).
+void PrintBudgets(const common::MetricsSnapshot& snap) {
+  auto gauge = [&](const std::string& name) -> int64_t {
+    auto it = snap.gauges.find(name);
+    return it == snap.gauges.end() ? 0 : it->second;
+  };
+  if (snap.gauges.count("object.cache.capacity_bytes")) {
+    const int64_t capacity = gauge("object.cache.capacity_bytes");
+    const int64_t unevictable = gauge("object.cache.unevictable_bytes");
+    std::printf("object cache: %.1f KB used of %.1f KB, %.1f KB unevictable "
+                "(dirty or pinned)%s\n",
+                gauge("object.cache.bytes_used") / 1024.0, capacity / 1024.0,
+                unevictable / 1024.0,
+                capacity > 0 && unevictable > capacity ? "  OVER-COMMITTED"
+                                                       : "");
+  }
+  if (!snap.gauges.count("chunk.census.residual.segments")) return;
+  std::printf("segment census: %12s %12s %12s\n", "segments", "KB", "KB live");
+  for (const char* c : {"residual", "map_live", "dense", "cleanable"}) {
+    const std::string base = std::string("chunk.census.") + c;
+    std::printf("  %-12s %12lld %12.1f %12.1f\n", c,
+                (long long)gauge(base + ".segments"),
+                gauge(base + ".bytes") / 1024.0,
+                gauge(base + ".live_bytes") / 1024.0);
+  }
+}
+
 void PrintSnapshot(const common::MetricsSnapshot& snap) {
+  PrintBudgets(snap);
   if (!snap.counters.empty()) {
     std::printf("counters:\n");
     for (const auto& [name, value] : snap.counters) {
@@ -542,11 +573,12 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Stats() first: it refreshes the segment-census gauges.
+  const chunk::ChunkStoreStats stats = chunks->Stats();
   common::MetricsSnapshot snap = registry->Snapshot();
   if (json) {
     std::printf("%s\n", snap.ToJson().c_str());
   } else {
-    const chunk::ChunkStoreStats& stats = chunks->stats();
     std::printf("database:     %s (read-only overlay)\n",
                 positional[0].c_str());
     std::printf("security:     %s\n",
