@@ -9,27 +9,8 @@ void ChunkCache::AttachMetrics(common::Counter* evictions[4],
   bytes_used_metric_ = bytes_used;
 }
 
-bool ChunkCache::Get(ChunkId cid, Buffer* out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(cid);
-  if (it == entries_.end()) return false;
-  lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-  *out = *it->second.data;
-  return true;
-}
-
-bool ChunkCache::GetIfVersionAtMost(ChunkId cid, uint64_t max_version,
-                                    Buffer* out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(cid);
-  if (it == entries_.end() || it->second.version > max_version) return false;
-  lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-  *out = *it->second.data;
-  return true;
-}
-
-std::shared_ptr<const Buffer> ChunkCache::GetSharedIfVersionAtMost(
-    ChunkId cid, uint64_t max_version) {
+std::shared_ptr<const Buffer> ChunkCache::Lookup(ChunkId cid,
+                                                 uint64_t max_version) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(cid);
   if (it == entries_.end() || it->second.version > max_version) {

@@ -48,14 +48,14 @@ struct CacheEvictionCounts {
 ///
 /// Keyed by ChunkId and always reflecting the LAST COMMITTED state of the
 /// chunk: the owning ChunkStore write-throughs commits, erases
-/// deallocations, and never populates it from snapshot reads (which may
-/// see older versions). Cleaner relocation moves sealed bytes verbatim —
+/// deallocations, and never populates it from view or snapshot reads
+/// (which may see older versions). Cleaner relocation moves sealed bytes verbatim —
 /// same id, same plaintext — so cached entries stay valid across Clean.
 ///
 /// Thread-safe behind an internal mutex that is never held across I/O, so
 /// cache-hit reads never queue behind an in-flight commit sync (the
 /// group-commit read-path requirement). The mutex only covers the map/LRU
-/// manipulation and the payload copy-out.
+/// manipulation.
 class ChunkCache {
  public:
   /// `capacity_bytes` = 0 disables the cache (all ops become no-ops).
@@ -69,36 +69,22 @@ class ChunkCache {
 
   bool enabled() const { return capacity_ > 0; }
 
-  /// On a hit, copies the cached payload into `*out`, refreshes the LRU
-  /// position and returns true; returns false on a miss. The copy-out
-  /// (instead of a pointer into the cache) is what makes concurrent
-  /// readers safe against eviction/replacement, and costs nothing extra:
-  /// the chunk store returned payloads by value already.
-  bool Get(ChunkId cid, Buffer* out);
-
-  /// Versioned hit: like Get, but only succeeds when the entry's commit
-  /// version is <= `max_version`. Because entries always track a chunk's
-  /// LAST committed state (commits write through, deallocations erase), an
-  /// entry whose version predates a pinned view is exactly the state that
-  /// view observes — so lock-free view reads can serve from cache without
-  /// ever consulting the location map.
-  bool GetIfVersionAtMost(ChunkId cid, uint64_t max_version, Buffer* out);
-
-  /// Zero-copy versioned hit: same admission rule as GetIfVersionAtMost,
-  /// but hands back shared ownership of the cached payload instead of
-  /// copying it — nullptr on a miss. Payloads are immutable once inserted
-  /// (replacement swaps in a NEW buffer), so a returned handle stays valid
-  /// bytes even if the entry is evicted or replaced a nanosecond later.
-  /// This is the snapshot-read fast path: per-hit cost drops to one map
-  /// lookup + one refcount bump, no allocation.
-  std::shared_ptr<const Buffer> GetSharedIfVersionAtMost(ChunkId cid,
-                                                         uint64_t max_version);
+  /// Versioned hit: shared ownership of the cached payload when the entry's
+  /// commit version is <= `max_version`, nullptr otherwise. Because entries
+  /// always track a chunk's LAST committed state (commits write through,
+  /// deallocations erase), an entry whose version predates a pinned view is
+  /// exactly the state that view observes; a current-state read passes
+  /// UINT64_MAX. Payloads are immutable once inserted (replacement swaps in
+  /// a NEW buffer), so a returned handle stays valid bytes even if the
+  /// entry is evicted or replaced a nanosecond later — which is what makes
+  /// concurrent readers safe, at one map lookup plus one refcount bump.
+  std::shared_ptr<const Buffer> Lookup(ChunkId cid, uint64_t max_version);
 
   /// Inserts or replaces the entry for `cid`, evicting LRU entries to fit.
   /// Payloads that alone exceed the budget are not cached (but still
   /// replace — i.e. erase — any stale entry under the same id).
   /// `version` is the store's commit version at insertion; it gates
-  /// GetIfVersionAtMost.
+  /// Lookup.
   void Put(ChunkId cid, Slice data, uint64_t version);
 
   /// Drops the entry for `cid` if present, attributing the eviction to
@@ -133,8 +119,8 @@ class ChunkCache {
   static constexpr size_t kEntryOverhead = 64;
 
   struct Entry {
-    // Shared so GetSharedIfVersionAtMost can hand out the payload without
-    // copying; never mutated after insertion (replacement allocates anew).
+    // Shared so Lookup can hand out the payload without copying; never
+    // mutated after insertion (replacement allocates anew).
     std::shared_ptr<const Buffer> data;
     uint64_t version = 0;
     std::list<ChunkId>::iterator lru_pos;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <optional>
 #include <unordered_map>
@@ -132,6 +133,7 @@ void ChunkStore::BindInstruments() {
   m_.compress_bytes_in = r->GetCounter("chunk.compress.bytes_in");
   m_.compress_bytes_out = r->GetCounter("chunk.compress.bytes_out");
   m_.views_pinned = r->GetCounter("chunk.views_pinned");
+  m_.views_registered = r->GetGauge("chunk.views.registered");
   m_.read_latency_us = r->GetHistogram("chunk.read.latency_us");
   m_.seal_latency_us = r->GetHistogram("chunk.seal.latency_us");
   m_.sync_latency_us = r->GetHistogram("chunk.sync.latency_us");
@@ -710,12 +712,6 @@ Result<Buffer> ChunkStore::ValidateSealed(const MapEntry& entry,
   return plain;
 }
 
-Result<Buffer> ChunkStore::ReadDataAt(const MapEntry& entry) {
-  TDB_ASSIGN_OR_RETURN(Buffer sealed,
-                       FetchRawRecord(entry.loc, RecordType::kData));
-  return ValidateSealed(entry, std::move(sealed));
-}
-
 NodeLoader ChunkStore::MakeLoader() {
   return [this](uint32_t level, uint64_t index, const Location& loc,
                 const crypto::Digest& hash)
@@ -782,18 +778,24 @@ Result<Buffer> ChunkStore::Read(ChunkId cid) {
   // hash check, and decryption entirely — AND takes only the cache's own
   // lock, never the commit mutex, so hot reads proceed while a commit
   // (or group sync) is in flight.
-  Buffer hit;
-  if (cache_.Get(cid, &hit)) {
+  if (std::shared_ptr<const Buffer> hit = cache_.Lookup(cid, UINT64_MAX)) {
     m_.cache_hits->Increment();
-    return hit;
+    return Buffer(*hit);
   }
+  // A miss fills the cache, so unlike the view reads (ReadValidated) it
+  // validates under the commit mutex: a commit that lands between an
+  // unlocked validation and the fill would have its write-through
+  // replaced by these older bytes, which every later Read would then
+  // serve as the current state.
   std::lock_guard<std::mutex> lock(mu_);
-  NodeLoader loader = MakeLoader();
-  TDB_ASSIGN_OR_RETURN(std::optional<MapEntry> entry, map_.Get(cid, loader));
+  TDB_ASSIGN_OR_RETURN(std::optional<MapEntry> entry,
+                       map_.Get(cid, MakeLoader()));
   if (!entry.has_value()) {
     return Status::NotFound("chunk " + std::to_string(cid));
   }
-  TDB_ASSIGN_OR_RETURN(Buffer plain, ReadDataAt(*entry));
+  TDB_ASSIGN_OR_RETURN(Buffer sealed,
+                       FetchRawRecord(entry->loc, RecordType::kData));
+  TDB_ASSIGN_OR_RETURN(Buffer plain, ValidateSealed(*entry, std::move(sealed)));
   if (cache_.enabled()) {
     m_.cache_misses->Increment();
     cache_.Put(cid, plain, commit_version_);
@@ -1565,12 +1567,9 @@ void ChunkStore::AccountLive(uint32_t segment, int64_t delta, bool is_map) {
 }
 
 size_t ChunkStore::ActiveSnapshots() {
-  snapshots_.erase(std::remove_if(snapshots_.begin(), snapshots_.end(),
-                                  [](const std::weak_ptr<Snapshot>& w) {
-                                    return w.expired();
-                                  }),
-                   snapshots_.end());
-  return snapshots_.size();
+  const int64_t live = live_views_->load();
+  m_.views_registered->Set(live);
+  return static_cast<size_t>(live);
 }
 
 std::vector<uint32_t> ChunkStore::CleanCandidates(uint64_t target,
@@ -1814,73 +1813,38 @@ Status ChunkStore::VerifyIntegrity(uint64_t* chunks_checked) {
   uint64_t checked = 0;
   if (chunks_checked != nullptr) *chunks_checked = 0;
 
-  // Pin the scrub's view of the map and collect the live entries under one
+  // Pin the scrub's view of the map and collect the live ids under one
   // mutex hold. View registration pauses the cleaner, so the collected
   // locations stay readable for the whole scrub without holding mu_;
   // shared ownership of the COW root keeps unpersisted nodes alive.
   std::shared_ptr<Snapshot> view;
-  std::vector<std::pair<ChunkId, MapEntry>> entries;
+  std::vector<ChunkId> cids;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    view = std::make_shared<Snapshot>();
-    view->root_ = map_.root();
-    view->seq_ = seq_;
-    view->version_ = commit_version_;
-    snapshots_.push_back(view);
-    NodeLoader loader = MakeLoader();
-    TDB_RETURN_IF_ERROR(map_.ForEach(
-        view->root_, loader,
-        [&](ChunkId cid, const MapEntry& entry) -> Status {
-          entries.push_back({cid, entry});
-          return Status::OK();
-        }));
+    view = PinLocked();
+    TDB_RETURN_IF_ERROR(map_.ForEach(view->root_, MakeLoader(),
+                                     [&](ChunkId cid, const MapEntry&) {
+                                       cids.push_back(cid);
+                                       return Status::OK();
+                                     }));
   }
 
-  // Validate in bounded batches: each batch's raw records are fetched
-  // under ONE brief mutex hold (buffered group commits may still sit in
-  // the tail buffer), then the expensive part — hash check, decryption,
-  // decompression — runs OUTSIDE the lock, fanned out across the crypto
-  // pool when configured and inline otherwise. Entries are visited in map
-  // order and failures reported lowest-position-first in both modes, so
-  // serial and parallel scrubs return bit-identical results.
-  ThreadPool* pool = CryptoPool();
-  for (size_t start = 0; start < entries.size();
-       start += kVerifyBatchChunks) {
-    const size_t n = std::min(kVerifyBatchChunks, entries.size() - start);
-    std::vector<Buffer> sealed(n);
-    std::vector<Status> results(n, Status::OK());
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (size_t j = 0; j < n; j++) {
-        auto raw = FetchRawRecord(entries[start + j].second.loc,
-                                  RecordType::kData);
-        if (raw.ok()) {
-          sealed[j] = std::move(raw).value();
-        } else {
-          results[j] = raw.status();
-        }
-      }
-    }
-    auto validate = [&](size_t j) {
-      if (!results[j].ok()) return;
-      // ValidateSealed audits with the same keys (kind + location) as the
-      // per-read path, so a chunk flagged by both collapses to one entry.
-      results[j] =
-          ValidateSealed(entries[start + j].second, std::move(sealed[j]))
-              .status();
-    };
-    if (pool != nullptr) {
-      pool->ParallelFor(n, validate);
-    } else {
-      for (size_t j = 0; j < n; j++) validate(j);
-    }
-    for (size_t j = 0; j < n; j++) {
-      if (!results[j].ok()) {
+  // Validate in bounded batches, bypassing the cache so every record is
+  // re-read from the store. Ids are visited in map order and each batch
+  // reports its lowest failing index, so serial and parallel scrubs
+  // return bit-identical results.
+  std::vector<ReadSlot> slots;
+  for (size_t start = 0; start < cids.size(); start += kVerifyBatchChunks) {
+    const size_t n = std::min(kVerifyBatchChunks, cids.size() - start);
+    slots.assign(n, ReadSlot{});
+    for (size_t j = 0; j < n; j++) slots[j].cid = cids[start + j];
+    ReadValidated(*view, /*use_cache=*/false, slots.data(), n);
+    for (const ReadSlot& slot : slots) {
+      if (!slot.status.ok()) {
         m_.verified_chunks->Add(static_cast<int64_t>(checked));
         if (chunks_checked != nullptr) *chunks_checked = checked;
-        return Status::TamperDetected(
-            "chunk " + std::to_string(entries[start + j].first) + ": " +
-            results[j].ToString());
+        return Status::TamperDetected("chunk " + std::to_string(slot.cid) +
+                                      ": " + slot.status.ToString());
       }
       checked++;
     }
@@ -1891,7 +1855,17 @@ Status ChunkStore::VerifyIntegrity(uint64_t* chunks_checked) {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshots
+// Snapshots and view reads
+
+std::shared_ptr<Snapshot> ChunkStore::PinLocked() {
+  auto snap = std::make_shared<Snapshot>();
+  snap->root_ = map_.root();
+  snap->seq_ = seq_;
+  snap->version_ = commit_version_;
+  snap->live_ = live_views_;
+  m_.views_registered->Set(live_views_->fetch_add(1) + 1);
+  return snap;
+}
 
 Result<std::shared_ptr<Snapshot>> ChunkStore::CreateSnapshot() {
   std::unique_lock<std::mutex> lock(mu_);
@@ -1901,12 +1875,7 @@ Result<std::shared_ptr<Snapshot>> ChunkStore::CreateSnapshot() {
   // incremental diffs need the hashes) and the root is anchored. This
   // also absorbs and acks any buffered group commits.
   TDB_RETURN_IF_ERROR(CheckpointLocked());
-  auto snap = std::make_shared<Snapshot>();
-  snap->root_ = map_.root();
-  snap->seq_ = seq_;
-  snap->version_ = commit_version_;
-  snapshots_.push_back(snap);
-  return snap;
+  return PinLocked();
 }
 
 Result<std::shared_ptr<Snapshot>> ChunkStore::PinView() {
@@ -1918,19 +1887,72 @@ Result<std::shared_ptr<Snapshot>> ChunkStore::PinView() {
   // ownership keeps unpersisted in-memory nodes alive for the view's
   // lifetime; registration pauses the cleaner so persisted records stay
   // readable.
-  auto snap = std::make_shared<Snapshot>();
-  snap->root_ = map_.root();
-  snap->seq_ = seq_;
-  snap->version_ = commit_version_;
-  snapshots_.push_back(snap);
   m_.views_pinned->Increment();
-  return snap;
+  return PinLocked();
 }
 
-Result<Buffer> ChunkStore::ReadAtView(const Snapshot& view, ChunkId cid) {
-  TDB_ASSIGN_OR_RETURN(std::shared_ptr<const Buffer> data,
-                       ReadAtViewShared(view, cid));
-  return Buffer(*data);
+void ChunkStore::ReadValidated(const Snapshot& view, bool use_cache,
+                               ReadSlot* slots, size_t n) {
+  // A cache entry always holds a chunk's LAST committed state, stamped
+  // with the commit version current at insertion. One stamped at or before
+  // the view's version is therefore exactly the state the view observes.
+  // Nothing here fills the cache: the view's state may predate the
+  // chunk's current committed state, which is what the cache must hold.
+  size_t misses = n;
+  if (use_cache) {
+    for (size_t i = 0; i < n; i++) {
+      slots[i].hit = cache_.Lookup(slots[i].cid, view.version_);
+      if (slots[i].hit != nullptr) {
+        m_.cache_hits->Increment();
+        misses--;
+      }
+    }
+    if (misses == 0) return;
+  }
+  size_t fetched = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    NodeLoader loader = MakeLoader();
+    for (size_t i = 0; i < n; i++) {
+      ReadSlot& slot = slots[i];
+      if (slot.hit != nullptr) continue;
+      Result<std::optional<MapEntry>> found =
+          map_.GetAt(view.root_, slot.cid, loader);
+      if (!found.ok()) {
+        slot.status = found.status();
+      } else if (!found->has_value()) {
+        slot.status = Status::NotFound("chunk " + std::to_string(slot.cid));
+      } else {
+        slot.entry = **found;
+        Result<Buffer> raw = FetchRawRecord(slot.entry.loc, RecordType::kData);
+        if (raw.ok()) {
+          slot.data = std::move(raw).value();
+          fetched++;
+        } else {
+          slot.status = raw.status();
+        }
+      }
+    }
+  }
+  if (use_cache && cache_.enabled()) {
+    m_.cache_misses->Add(static_cast<int64_t>(fetched));
+  }
+  auto validate = [&](size_t i) {
+    ReadSlot& slot = slots[i];
+    if (slot.hit != nullptr || !slot.status.ok()) return;
+    Result<Buffer> plain = ValidateSealed(slot.entry, std::move(slot.data));
+    if (plain.ok()) {
+      slot.data = std::move(plain).value();
+    } else {
+      slot.status = plain.status();
+    }
+  };
+  ThreadPool* pool = fetched > 1 ? CryptoPool() : nullptr;
+  if (pool != nullptr) {
+    pool->ParallelFor(n, validate);
+  } else {
+    for (size_t i = 0; i < n; i++) validate(i);
+  }
 }
 
 Result<std::shared_ptr<const Buffer>> ChunkStore::ReadAtViewShared(
@@ -1938,110 +1960,28 @@ Result<std::shared_ptr<const Buffer>> ChunkStore::ReadAtViewShared(
   if (!open_.load()) return Status::InvalidArgument("chunk store not open");
   common::TraceSpan span("chunk.read_view");
   common::ScopedTimer timer(metrics_.get(), m_.read_latency_us);
-  // A cache entry always holds a chunk's LAST committed state, stamped
-  // with the commit version current at insertion. One stamped at or before
-  // the view's version is therefore exactly the state the view observes —
-  // served under the cache's own lock only, with shared ownership instead
-  // of a copy (payloads are immutable once cached).
-  if (std::shared_ptr<const Buffer> hit =
-          cache_.GetSharedIfVersionAtMost(cid, view.version_)) {
-    m_.cache_hits->Increment();
-    return hit;
-  }
-  MapEntry entry;
-  Buffer sealed;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    NodeLoader loader = MakeLoader();
-    TDB_ASSIGN_OR_RETURN(std::optional<MapEntry> found,
-                         map_.GetAt(view.root_, cid, loader));
-    if (!found.has_value()) {
-      return Status::NotFound("chunk " + std::to_string(cid));
-    }
-    entry = *found;
-    TDB_ASSIGN_OR_RETURN(sealed,
-                         FetchRawRecord(entry.loc, RecordType::kData));
-  }
-  if (cache_.enabled()) m_.cache_misses->Increment();
-  // Hash check, decryption, and decompression run OUTSIDE the commit
-  // mutex: concurrent view readers serialize only on the record fetch.
-  // The result is not cached — the view's state may predate the chunk's
-  // current committed state, which is what the cache must keep holding.
-  TDB_ASSIGN_OR_RETURN(Buffer plain, ValidateSealed(entry, std::move(sealed)));
-  return std::make_shared<const Buffer>(std::move(plain));
+  ReadSlot slot;
+  slot.cid = cid;
+  ReadValidated(view, /*use_cache=*/true, &slot, 1);
+  TDB_RETURN_IF_ERROR(slot.status);
+  if (slot.hit != nullptr) return std::move(slot.hit);
+  return std::make_shared<const Buffer>(std::move(slot.data));
 }
 
 Result<std::vector<Buffer>> ChunkStore::ReadManyAtView(
     const Snapshot& view, const std::vector<ChunkId>& cids) {
   if (!open_.load()) return Status::InvalidArgument("chunk store not open");
   common::TraceSpan span("chunk.read_view_many");
+  std::vector<ReadSlot> slots(cids.size());
+  for (size_t i = 0; i < cids.size(); i++) slots[i].cid = cids[i];
+  ReadValidated(view, /*use_cache=*/true, slots.data(), slots.size());
   std::vector<Buffer> out(cids.size());
-  std::vector<size_t> misses;
-  misses.reserve(cids.size());
   for (size_t i = 0; i < cids.size(); i++) {
-    if (cache_.GetIfVersionAtMost(cids[i], view.version_, &out[i])) {
-      m_.cache_hits->Increment();
-    } else {
-      misses.push_back(i);
-    }
-  }
-  if (misses.empty()) return out;
-
-  // One commit-mutex acquisition fetches every missing raw record...
-  std::vector<MapEntry> entries(misses.size());
-  std::vector<Buffer> sealed(misses.size());
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    NodeLoader loader = MakeLoader();
-    for (size_t j = 0; j < misses.size(); j++) {
-      const ChunkId cid = cids[misses[j]];
-      TDB_ASSIGN_OR_RETURN(std::optional<MapEntry> found,
-                           map_.GetAt(view.root_, cid, loader));
-      if (!found.has_value()) {
-        return Status::NotFound("chunk " + std::to_string(cid));
-      }
-      entries[j] = *found;
-      TDB_ASSIGN_OR_RETURN(sealed[j],
-                           FetchRawRecord(entries[j].loc, RecordType::kData));
-    }
-  }
-  if (cache_.enabled()) {
-    m_.cache_misses->Add(static_cast<int64_t>(misses.size()));
-  }
-  // ...then validation (hash + decrypt + decompress) fans out across the
-  // crypto pool, outside the mutex. First failure wins, lowest index
-  // first, matching the serial order.
-  std::vector<Status> results(misses.size(), Status::OK());
-  ThreadPool* pool = CryptoPool();
-  auto validate = [&](size_t j) {
-    auto plain = ValidateSealed(entries[j], std::move(sealed[j]));
-    if (plain.ok()) {
-      out[misses[j]] = std::move(plain).value();
-    } else {
-      results[j] = plain.status();
-    }
-  };
-  if (pool != nullptr && misses.size() > 1) {
-    pool->ParallelFor(misses.size(), [&](size_t j) { validate(j); });
-  } else {
-    for (size_t j = 0; j < misses.size(); j++) validate(j);
-  }
-  for (const Status& s : results) {
-    if (!s.ok()) return s;
+    TDB_RETURN_IF_ERROR(slots[i].status);
+    out[i] = slots[i].hit != nullptr ? Buffer(*slots[i].hit)
+                                     : std::move(slots[i].data);
   }
   return out;
-}
-
-Result<Buffer> ChunkStore::ReadAtSnapshot(const Snapshot& snap, ChunkId cid) {
-  if (!open_.load()) return Status::InvalidArgument("chunk store not open");
-  std::lock_guard<std::mutex> lock(mu_);
-  NodeLoader loader = MakeLoader();
-  TDB_ASSIGN_OR_RETURN(std::optional<MapEntry> entry,
-                       map_.GetAt(snap.root_, cid, loader));
-  if (!entry.has_value()) {
-    return Status::NotFound("chunk " + std::to_string(cid));
-  }
-  return ReadDataAt(*entry);
 }
 
 Status ChunkStore::ForEachChunkAt(

@@ -76,9 +76,10 @@ struct ChunkStoreOptions {
   /// Byte budget for the validated-plaintext chunk cache: decrypted,
   /// hash-checked payloads served straight from trusted memory on re-read,
   /// skipping untrusted-store I/O, hashing, and decryption. 0 disables the
-  /// cache (every read revalidates — the pre-cache behavior). Snapshot
-  /// reads always bypass the cache; see DESIGN.md "Chunk cache & crypto
-  /// pipeline".
+  /// cache (every read revalidates — the pre-cache behavior). View and
+  /// snapshot reads take a hit only when the entry's commit version is at
+  /// or before theirs; VerifyIntegrity always bypasses the cache. See
+  /// DESIGN.md "Chunk cache & crypto pipeline".
   size_t cache_bytes = 4 * 1024 * 1024;
 
   /// Worker threads for the commit-path crypto pipeline (sealing + hashing
@@ -290,9 +291,16 @@ class CommitHandle {
 /// is paused while any snapshot is alive so its records stay readable.
 class Snapshot {
  public:
+  Snapshot() = default;
+  Snapshot(const Snapshot&) = delete;
+  Snapshot& operator=(const Snapshot&) = delete;
+  ~Snapshot() {
+    if (live_ != nullptr) live_->fetch_sub(1);
+  }
+
   uint64_t seq() const { return seq_; }
-  /// Commit version at capture; gates versioned chunk-cache hits in
-  /// ReadAtView (ReadAtSnapshot always bypasses the cache).
+  /// Commit version at capture; gates versioned chunk-cache hits in the
+  /// view reads.
   uint64_t version() const { return version_; }
 
  private:
@@ -305,6 +313,10 @@ class Snapshot {
   /// for views pinned on a plain ChunkStore (root_ is then the real COW
   /// root). A composite view has a null root_ and delegates per chunk.
   std::vector<std::shared_ptr<Snapshot>> parts_;
+  /// Live-view count of the store that pinned this view, shared with it
+  /// (null for a composite view). Releasing the view is what unregisters
+  /// it, so the count never includes a released view.
+  std::shared_ptr<std::atomic<int64_t>> live_;
 };
 
 /// The store surface the layers above the chunk store (object store,
@@ -328,7 +340,12 @@ class ChunkStoreInterface {
   virtual Status Clean(int max_segments) = 0;
   virtual Status VerifyIntegrity(uint64_t* chunks_checked) = 0;
   virtual Result<std::shared_ptr<Snapshot>> PinView() = 0;
-  virtual Result<Buffer> ReadAtView(const Snapshot& view, ChunkId cid) = 0;
+  /// Copying form of ReadAtViewShared, defined once for every store.
+  virtual Result<Buffer> ReadAtView(const Snapshot& view, ChunkId cid) {
+    TDB_ASSIGN_OR_RETURN(std::shared_ptr<const Buffer> data,
+                         ReadAtViewShared(view, cid));
+    return Buffer(*data);
+  }
   virtual Result<std::shared_ptr<const Buffer>> ReadAtViewShared(
       const Snapshot& view, ChunkId cid) = 0;
   virtual Result<std::vector<Buffer>> ReadManyAtView(
@@ -432,44 +449,36 @@ class ChunkStore : public ChunkStoreInterface {
   /// runs outside the lock.
   Status VerifyIntegrity(uint64_t* chunks_checked) override;
 
-  /// Snapshots (§3.2.1, used by the backup store). Checkpoints first so
-  /// the snapshot is fully persisted. ReadAtSnapshot always bypasses the
-  /// validated-plaintext cache — the cache is keyed by a chunk's CURRENT
-  /// committed state, which a snapshot may predate — and performs the full
-  /// validated read instead.
+  /// Snapshots (§3.2.1, used by the backup store): a pinned view taken
+  /// after a checkpoint, so the snapshot is fully persisted and anchored.
+  /// Read it like any view (ReadAtView, ReadAtViewShared, ReadManyAtView).
   Result<std::shared_ptr<Snapshot>> CreateSnapshot();
-  Result<Buffer> ReadAtSnapshot(const Snapshot& snap, ChunkId cid);
 
   /// Pins a read view of the CURRENT applied state: like CreateSnapshot
   /// but without the checkpoint (no log writes, no sync — just a brief
   /// mutex hold to capture the COW map root and commit version). Views
   /// register like snapshots, so the cleaner pauses while any is alive and
-  /// their records stay readable. This is the MVCC read-transaction
-  /// anchor: readers at a view never block on, and are never blocked by,
-  /// writers.
+  /// their records stay readable; a view unregisters when its last
+  /// reference is dropped (gauge `chunk.views.registered`). This is the
+  /// MVCC read-transaction anchor: readers at a view never block on, and
+  /// are never blocked by, writers.
   Result<std::shared_ptr<Snapshot>> PinView() override;
 
   /// Validated read at a pinned view. Serves from the plaintext cache when
   /// the cached entry's commit version is <= the view's (taking only the
-  /// cache lock); otherwise walks the view's map root and fetches the raw
-  /// record under the commit mutex, then runs the expensive validation —
-  /// Merkle hash check, decryption, decompression — OUTSIDE it, so
-  /// concurrent view readers serialize only on I/O, not on crypto.
-  Result<Buffer> ReadAtView(const Snapshot& view, ChunkId cid) override;
-
-  /// Zero-copy variant of ReadAtView: a cache hit hands back shared
-  /// ownership of the cached payload (one refcount bump, no allocation,
-  /// no memcpy); a miss allocates once for the freshly validated bytes.
-  /// This is the ReadTransaction hot path — per-object cost at steady
-  /// state is one cache lookup plus the caller's unpickle.
+  /// cache lock) and hands back shared ownership of the cached payload —
+  /// one refcount bump, no allocation, no memcpy. Otherwise walks the
+  /// view's map root and fetches the raw record under the commit mutex,
+  /// then runs the expensive validation — Merkle hash check, decryption,
+  /// decompression — OUTSIDE it, so concurrent view readers serialize only
+  /// on I/O, not on crypto. This is the ReadTransaction hot path.
   Result<std::shared_ptr<const Buffer>> ReadAtViewShared(
       const Snapshot& view, ChunkId cid) override;
 
   /// Batched view read: all cache misses fetch their raw records under ONE
   /// commit-mutex acquisition, then validation fans out across the crypto
-  /// pool (mirroring VerifyIntegrity's pipeline). Fails on the first
-  /// error, lowest-index first; on success out[i] is the payload of
-  /// cids[i].
+  /// pool. Every chunk is validated; the error returned is the one at the
+  /// lowest index. On success out[i] is the payload of cids[i].
   Result<std::vector<Buffer>> ReadManyAtView(
       const Snapshot& view, const std::vector<ChunkId>& cids) override;
   Status ForEachChunkAt(
@@ -484,7 +493,6 @@ class ChunkStore : public ChunkStoreInterface {
   /// and committers. Also refreshes the segment-census gauges
   /// (`chunk.census.*`) in the registry.
   ChunkStoreStats Stats() const override;
-  ChunkStoreStats stats() const { return Stats(); }  // Legacy alias.
 
   /// The registry backing Stats(): latency histograms, the security audit
   /// trail, and every counter above, by name. Shared with the layers built
@@ -546,6 +554,7 @@ class ChunkStore : public ChunkStoreInterface {
     common::Counter* compress_bytes_in = nullptr;
     common::Counter* compress_bytes_out = nullptr;
     common::Counter* views_pinned = nullptr;
+    common::Gauge* views_registered = nullptr;
     // Latency histograms (recording gated by the registry's timing flag).
     common::Histogram* read_latency_us = nullptr;
     common::Histogram* seal_latency_us = nullptr;
@@ -608,11 +617,30 @@ class ChunkStore : public ChunkStoreInterface {
   Result<Buffer> FetchRawRecord(const Location& loc, RecordType expected);
   Result<Buffer> ReadRawRecord(const Location& loc, RecordType expected,
                                const crypto::Digest& expected_hash);
-  Result<Buffer> ReadDataAt(const MapEntry& entry);
   // Hash-checks, decrypts, and (if entry.flags says so) decompresses a
   // fetched data record. Pure crypto on local state — safe OUTSIDE mu_ and
-  // called concurrently by the view read path and VerifyIntegrity.
+  // called concurrently by ReadValidated's workers.
   Result<Buffer> ValidateSealed(const MapEntry& entry, Buffer sealed);
+
+  // One chunk of a ReadValidated call. In: `cid`. Out, when `status` is
+  // OK: either `hit` (a versioned cache hit, shared with the cache) or
+  // `data` (the freshly validated plaintext).
+  struct ReadSlot {
+    ChunkId cid = 0;
+    std::shared_ptr<const Buffer> hit;
+    MapEntry entry;
+    Buffer data;  // The sealed record until validation replaces it.
+    Status status;
+  };
+  // The fetch-and-validate path behind every read except Read(cid). Takes
+  // versioned cache hits first (when `use_cache`), then looks up and
+  // fetches every remaining slot at the view's root under ONE mu_ hold
+  // (a record may still sit in the unflushed tail buffer), then validates
+  // outside mu_ — on the crypto pool when more than one slot needs it.
+  // Each slot keeps its own status, so one failure never hides another
+  // and callers can report the lowest index.
+  void ReadValidated(const Snapshot& view, bool use_cache, ReadSlot* slots,
+                     size_t n);
   NodeLoader MakeLoader();
   // Loads the checkpointed map root (level read from the record itself).
   Result<std::shared_ptr<MapNode>> LoadRoot(const Location& loc,
@@ -712,7 +740,12 @@ class ChunkStore : public ChunkStoreInterface {
   Status FreePendingSegments();
   // Recounts segments by SegmentClass into the census gauges.
   void PublishSegmentCensusLocked() const;
+  // Live pinned views and snapshots; also refreshes their gauge.
   size_t ActiveSnapshots();
+  // Requires mu_. The one place a Snapshot is built: captures the current
+  // COW map root and commit version and registers the result in the
+  // live-view count, which the Snapshot decrements when released.
+  std::shared_ptr<Snapshot> PinLocked();
 
   void AccountLive(uint32_t segment, int64_t delta, bool is_map = false);
 
@@ -776,7 +809,6 @@ class ChunkStore : public ChunkStoreInterface {
   std::map<uint32_t, SegInfo> segments_;
   std::set<std::string> dirty_files_;
   std::vector<uint32_t> pending_free_;  // Freed at next durable commit.
-  std::vector<std::weak_ptr<Snapshot>> snapshots_;
 
   bool in_maintenance_ = false;  // Guards checkpoint/clean reentrancy.
 
@@ -786,6 +818,11 @@ class ChunkStore : public ChunkStoreInterface {
   std::vector<std::shared_ptr<internal::CommitTicket>> group_tickets_;
   bool group_flushing_ = false;  // A leader's sync is in flight.
   std::condition_variable group_cv_;
+
+  // Count of live views and snapshots (no lock: each Snapshot decrements
+  // it on release). Shared so that a view may outlive the store.
+  const std::shared_ptr<std::atomic<int64_t>> live_views_ =
+      std::make_shared<std::atomic<int64_t>>(0);
 
   std::shared_ptr<common::MetricsRegistry> metrics_;  // Never null.
   Instruments m_;  // Wait-free instruments: no lock required.

@@ -796,16 +796,6 @@ Result<std::shared_ptr<chunk::Snapshot>> ShardedChunkStore::PinView() {
   return snap;
 }
 
-Result<Buffer> ShardedChunkStore::ReadAtView(const chunk::Snapshot& view,
-                                             chunk::ChunkId cid) {
-  if (shards_.size() == 1) return shards_[0]->ReadAtView(view, cid);
-  if (view.parts_.size() != shards_.size()) {
-    return Status::InvalidArgument("view does not match this sharded store");
-  }
-  const int k = ShardOf(cid);
-  return shards_[k]->ReadAtView(*view.parts_[k], cid);
-}
-
 Result<std::shared_ptr<const Buffer>> ShardedChunkStore::ReadAtViewShared(
     const chunk::Snapshot& view, chunk::ChunkId cid) {
   if (shards_.size() == 1) return shards_[0]->ReadAtViewShared(view, cid);

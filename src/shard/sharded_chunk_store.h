@@ -113,8 +113,6 @@ class ShardedChunkStore final : public chunk::ChunkStoreInterface {
   /// reported for the lowest failing shard index.
   Status VerifyIntegrity(uint64_t* chunks_checked) override;
   Result<std::shared_ptr<chunk::Snapshot>> PinView() override;
-  Result<Buffer> ReadAtView(const chunk::Snapshot& view,
-                            chunk::ChunkId cid) override;
   Result<std::shared_ptr<const Buffer>> ReadAtViewShared(
       const chunk::Snapshot& view, chunk::ChunkId cid) override;
   Result<std::vector<Buffer>> ReadManyAtView(

@@ -5,14 +5,17 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
+#include "common/coding.h"
 #include "common/random.h"
 #include "platform/fault_injection.h"
 #include "platform/mem_store.h"
 #include "platform/one_way_counter.h"
 #include "platform/secret_store.h"
+#include "shard/sharded_chunk_store.h"
 
 namespace tdb::chunk {
 namespace {
@@ -136,7 +139,7 @@ TEST(ChunkStoreTest, DeallocateRemovesState) {
   ASSERT_TRUE((*cs)->Write(cid, Slice("doomed"), true).ok());
   ASSERT_TRUE((*cs)->Deallocate(cid, true).ok());
   EXPECT_TRUE((*cs)->Read(cid).status().IsNotFound());
-  EXPECT_EQ((*cs)->stats().live_chunks, 0u);
+  EXPECT_EQ((*cs)->Stats().live_chunks, 0u);
 }
 
 TEST(ChunkStoreTest, BatchCommitIsAtomicAndOrdered) {
@@ -344,7 +347,7 @@ TEST_P(CrashRecoveryPropertyTest, DurableStateSurvivesRandomCrash) {
         }
       }
       bool durable = rng.Bernoulli(0.3);
-      uint64_t durables_before = cs->stats().durable_commits;
+      uint64_t durables_before = cs->Stats().durable_commits;
       Status s = cs->Commit(batch, durable);
       if (!s.ok()) {
         // Crash fired. The in-flight batch was not acknowledged: it may be
@@ -364,7 +367,7 @@ TEST_P(CrashRecoveryPropertyTest, DurableStateSurvivesRandomCrash) {
       }
       // An internal checkpoint (residual-log threshold or cleaning) is a
       // durable commit too and durabilizes all pending state.
-      if (durable || cs->stats().durable_commits > durables_before) {
+      if (durable || cs->Stats().durable_commits > durables_before) {
         durable_model = pending_model;
       }
     }
@@ -646,7 +649,7 @@ TEST(ChunkStoreCleanerTest, CleaningBoundsDatabaseSize) {
     }
     ASSERT_TRUE((*cs)->Write(cids[0], Slice("durable-marker"), true).ok());
   }
-  const ChunkStoreStats& stats = (*cs)->stats();
+  const ChunkStoreStats stats = (*cs)->Stats();
   EXPECT_GT(stats.cleaned_segments, 0u);
   // Total size bounded: live/util plus slack of a few segments.
   uint64_t bound = static_cast<uint64_t>(stats.live_bytes / 0.6) +
@@ -686,12 +689,12 @@ TEST(ChunkStoreCleanerTest, ExplicitIdleCleaningReclaims) {
     rng.Fill(&data, 400);
     ASSERT_TRUE((*cs)->Write(cid, data, i % 20 == 0).ok());
   }
-  uint64_t before = (*cs)->stats().total_bytes;
+  uint64_t before = (*cs)->Stats().total_bytes;
   // Idle-time cleaning, as the paper's workload model assumes (§3.2.1).
   for (int i = 0; i < 50; i++) {
     ASSERT_TRUE((*cs)->Clean(2).ok());
   }
-  uint64_t after = (*cs)->stats().total_bytes;
+  uint64_t after = (*cs)->Stats().total_bytes;
   EXPECT_LT(after, before);
   EXPECT_TRUE((*cs)->Read(cid).ok());
 }
@@ -742,7 +745,7 @@ TEST(ChunkStoreSnapshotTest, SnapshotIsStableUnderWrites) {
   ASSERT_TRUE((*cs)->Write(cid, Slice("new"), true).ok());
 
   EXPECT_EQ(Slice(*(*cs)->Read(cid)).ToString(), "new");
-  auto old_data = (*cs)->ReadAtSnapshot(**snap, cid);
+  auto old_data = (*cs)->ReadAtView(**snap, cid);
   ASSERT_TRUE(old_data.ok()) << old_data.status().ToString();
   EXPECT_EQ(Slice(*old_data).ToString(), "old");
 }
@@ -823,16 +826,16 @@ TEST(ChunkStoreSnapshotTest, CleaningPausedWhileSnapshotAlive) {
   ASSERT_TRUE((*cs)->Write(cid, Slice("v0"), true).ok());
   auto snap = (*cs)->CreateSnapshot();
   ASSERT_TRUE(snap.ok());
-  uint64_t cleaned_before = (*cs)->stats().cleaned_segments;
+  uint64_t cleaned_before = (*cs)->Stats().cleaned_segments;
   Random rng(8);
   for (int i = 0; i < 100; i++) {
     Buffer data;
     rng.Fill(&data, 300);
     ASSERT_TRUE((*cs)->Write(cid, data, i % 10 == 0).ok());
   }
-  EXPECT_EQ((*cs)->stats().cleaned_segments, cleaned_before);
+  EXPECT_EQ((*cs)->Stats().cleaned_segments, cleaned_before);
   // Snapshot still readable after all that churn.
-  EXPECT_EQ(Slice(*(*cs)->ReadAtSnapshot(**snap, cid)).ToString(), "v0");
+  EXPECT_EQ(Slice(*(*cs)->ReadAtView(**snap, cid)).ToString(), "v0");
   // Release it; cleaning may resume.
   snap->reset();
   for (int i = 0; i < 20; i++) {
@@ -840,7 +843,7 @@ TEST(ChunkStoreSnapshotTest, CleaningPausedWhileSnapshotAlive) {
     rng.Fill(&data, 300);
     ASSERT_TRUE((*cs)->Write(cid, data, true).ok());
   }
-  EXPECT_GT((*cs)->stats().cleaned_segments, cleaned_before);
+  EXPECT_GT((*cs)->Stats().cleaned_segments, cleaned_before);
 }
 
 // ------------------------------------------------------------------ misc
@@ -852,7 +855,7 @@ TEST(ChunkStoreTest, StatsTrackUtilization) {
   ASSERT_TRUE(
       (*cs)->Write((*cs)->AllocateChunkId(), Bytes(std::string(500, 'x')), true)
           .ok());
-  const ChunkStoreStats& stats = (*cs)->stats();
+  const ChunkStoreStats stats = (*cs)->Stats();
   EXPECT_GT(stats.live_bytes, 0u);
   EXPECT_GE(stats.total_bytes, stats.live_bytes);
   EXPECT_GT(stats.utilization(), 0.0);
@@ -897,7 +900,7 @@ TEST(ChunkStoreTest, CheckpointBoundsResidualLogReplay) {
       model[cid] = data;
       ASSERT_TRUE((*cs)->Write(cid, data, true).ok());
     }
-    EXPECT_GT((*cs)->stats().checkpoints, 2u);
+    EXPECT_GT((*cs)->Stats().checkpoints, 2u);
     ASSERT_TRUE((*cs)->Close().ok());
   }
   auto cs = env.Open(options);
@@ -1090,7 +1093,7 @@ TEST(ChunkCacheTest, SnapshotReadsBypassCache) {
   ASSERT_TRUE(snap.ok());
   // Overwrite AFTER the snapshot: the cache now holds the newer version.
   ASSERT_TRUE((*cs)->Write(cid, Slice("newer"), true).ok());
-  auto at_snap = (*cs)->ReadAtSnapshot(**snap, cid);
+  auto at_snap = (*cs)->ReadAtView(**snap, cid);
   ASSERT_TRUE(at_snap.ok()) << at_snap.status().ToString();
   EXPECT_EQ(Slice(*at_snap).ToString(), "snapshotted");
   auto current = (*cs)->Read(cid);
@@ -1783,6 +1786,106 @@ TEST(ChunkViewTest, ReadManyAtViewBatchesAndFailsWhole) {
   with_missing.push_back((*cs)->AllocateChunkId());  // Never written.
   EXPECT_TRUE(
       (*cs)->ReadManyAtView(**view, with_missing).status().IsNotFound());
+}
+
+// Flips one payload byte of `cid`'s data record and rewrites the record
+// checksum to match, so only the Merkle hash check can catch it.
+void TamperPayloadKeepChecksum(ChunkStore* cs, MemUntrustedStore* store,
+                               ChunkId cid) {
+  auto view = cs->PinView();
+  ASSERT_TRUE(view.ok());
+  std::optional<MapEntry> entry;
+  ASSERT_TRUE(cs->ForEachChunkAt(**view,
+                                 [&](ChunkId c, const MapEntry& e) {
+                                   if (c == cid) entry = e;
+                                   return Status::OK();
+                                 })
+                  .ok());
+  ASSERT_TRUE(entry.has_value());
+  const std::string segment = "seg-" + std::to_string(entry->loc.segment);
+  const uint64_t payload_at = entry->loc.offset + kRecordHeaderSize;
+  Buffer payload;
+  ASSERT_TRUE(
+      store->Read(segment, payload_at, entry->loc.length, &payload).ok());
+  payload[payload.size() / 2] ^= 0x01;
+  Buffer checksum;
+  PutFixed32(&checksum, Checksum32(payload));
+  ASSERT_TRUE(store->Write(segment, payload_at, payload).ok());
+  // The checksum follows the type byte and the payload length.
+  ASSERT_TRUE(store->Write(segment, entry->loc.offset + 5, checksum).ok());
+}
+
+// Index 0 holds a tampered payload, index 1 was never written: the lookup
+// miss at index 1 happens before any validation, yet the batch must still
+// validate (and audit) index 0 and report its failure, on a single store
+// and through the sharded router with both ids on one shard.
+TEST(ChunkViewTest, ReadManyAtViewReportsLowestIndexFailure) {
+  ChunkStoreOptions opts = SmallSegments();
+  opts.cache_bytes = 0;  // A cached plaintext would serve the tampered id.
+  auto expect_tamper_first = [](ChunkStoreInterface* cs,
+                                const std::vector<ChunkId>& cids) {
+    auto view = cs->PinView();
+    ASSERT_TRUE(view.ok());
+    Status s = cs->ReadManyAtView(**view, cids).status();
+    EXPECT_TRUE(s.IsTamperDetected()) << s.ToString();
+    bool audited = false;
+    for (const common::AuditEvent& ev : cs->metrics()->audit().Events()) {
+      audited |= ev.kind == "hash_mismatch";
+    }
+    EXPECT_TRUE(audited);
+  };
+  {
+    TestEnv env;
+    auto cs = env.Open(opts);
+    ASSERT_TRUE(cs.ok());
+    ChunkId tampered = (*cs)->AllocateChunkId();
+    ChunkId missing = (*cs)->AllocateChunkId();
+    ASSERT_TRUE((*cs)->Write(tampered, Slice("tampered"), true).ok());
+    TamperPayloadKeepChecksum(cs->get(), &env.store, tampered);
+    expect_tamper_first(cs->get(), {tampered, missing});
+  }
+  {
+    MemUntrustedStore stores[2];
+    MemOneWayCounter counters[2];
+    MemSecretStore secrets;
+    ASSERT_TRUE(secrets.Provision(Slice("test-master-secret")).ok());
+    auto router = shard::ShardedChunkStore::Open(
+        {{&stores[0], &secrets, &counters[0]},
+         {&stores[1], &secrets, &counters[1]}},
+        opts);
+    ASSERT_TRUE(router.ok()) << router.status().ToString();
+    ChunkId tampered = (*router)->AllocateChunkId();
+    const int k = (*router)->ShardOf(tampered);
+    ChunkId missing = (*router)->AllocateChunkId();
+    while ((*router)->ShardOf(missing) != k) {
+      missing = (*router)->AllocateChunkId();
+    }
+    ASSERT_TRUE((*router)->Write(tampered, Slice("tampered"), true).ok());
+    TamperPayloadKeepChecksum((*router)->shard(k), &stores[k], tampered);
+    expect_tamper_first(router->get(), {tampered, missing});
+  }
+}
+
+// Released views leave the registry at the next pin, so pin/release churn
+// with no commit to prune it keeps the registry at the live view count.
+TEST(ChunkViewTest, ViewRegistryStaysBoundedWithoutCommits) {
+  TestEnv env;
+  auto cs = env.Open(SmallSegments());
+  ASSERT_TRUE(cs.ok());
+  ASSERT_TRUE((*cs)->Write((*cs)->AllocateChunkId(), Slice("x"), true).ok());
+  common::Gauge* registered =
+      (*cs)->metrics()->GetGauge("chunk.views.registered");
+  std::vector<std::shared_ptr<Snapshot>> held;
+  for (int i = 0; i < 3; i++) {
+    auto view = (*cs)->PinView();
+    ASSERT_TRUE(view.ok());
+    held.push_back(*view);
+  }
+  EXPECT_EQ(registered->value(), 3);
+  for (int i = 0; i < 100000; i++) {
+    ASSERT_TRUE((*cs)->PinView().ok());
+  }
+  EXPECT_LE(registered->value(), 4);
 }
 
 TEST(ChunkViewTest, ActiveViewPausesCleaner) {

@@ -228,13 +228,13 @@ TEST(SnapshotTest, MultipleConcurrentSnapshotsIndependent) {
   ASSERT_TRUE(snap1.ok());
   ASSERT_TRUE(cs->Write(cid, Slice("gen-2"), true).ok());
 
-  EXPECT_EQ(Slice(*cs->ReadAtSnapshot(**snap0, cid)).ToString(), "gen-0");
-  EXPECT_EQ(Slice(*cs->ReadAtSnapshot(**snap1, cid)).ToString(), "gen-1");
+  EXPECT_EQ(Slice(*cs->ReadAtView(**snap0, cid)).ToString(), "gen-0");
+  EXPECT_EQ(Slice(*cs->ReadAtView(**snap1, cid)).ToString(), "gen-1");
   EXPECT_EQ(Slice(*cs->Read(cid)).ToString(), "gen-2");
 
   // Releasing the older snapshot leaves the newer one intact.
   snap0->reset();
-  EXPECT_EQ(Slice(*cs->ReadAtSnapshot(**snap1, cid)).ToString(), "gen-1");
+  EXPECT_EQ(Slice(*cs->ReadAtView(**snap1, cid)).ToString(), "gen-1");
 }
 
 TEST(ResidualLogTest, LongResidualLogReplaysManyCommits) {
@@ -263,7 +263,7 @@ TEST(ResidualLogTest, LongResidualLogReplaysManyCommits) {
       ASSERT_TRUE(cs->Write(cid, data, true).ok());
       model[cid] = data;
     }
-    EXPECT_LE(cs->stats().checkpoints, 2u);  // Only the bootstrap one(s).
+    EXPECT_LE(cs->Stats().checkpoints, 2u);  // Only the bootstrap one(s).
     // Simulated power cut: the destructor's close-time checkpoint fails.
     faulty.CrashAfterWrites(0);
   }
@@ -310,7 +310,7 @@ TEST(UtilizationKnobTest, HigherTargetYieldsDenserDatabase) {
     // Everything still readable.
     uint64_t checked = 0;
     TDB_CHECK(cs->VerifyIntegrity(&checked).ok());
-    return cs->stats();
+    return cs->Stats();
   };
   ChunkStoreStats loose = run(0.5);
   ChunkStoreStats tight = run(0.9);

@@ -6,7 +6,8 @@
 //           [--json]
 //     Opens a database image STRICTLY READ-ONLY and prints its metrics
 //     registry (counters, gauges, latency histograms, security audit
-//     trail) plus store statistics. Unlike tdb_inspect, recovery writes
+//     trail) plus store statistics; the table report ends with the root
+//     object and every collection with its indexes. Recovery writes
 //     (checkpoints, log truncation, counter bumps) are diverted into an
 //     in-memory copy-on-write overlay, so inspecting an image — even a
 //     crashed or tampered one — never mutates a byte on disk.
@@ -51,10 +52,12 @@
 #include <vector>
 
 #include "chunk/chunk_store.h"
+#include "collection/collection.h"
 #include "common/health.h"
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "common/trace_export.h"
+#include "object/object_store.h"
 #include "platform/file_store.h"
 #include "platform/one_way_counter.h"
 #include "platform/secret_store.h"
@@ -292,6 +295,68 @@ void PrintSnapshot(const common::MetricsSnapshot& snap) {
     std::printf("  [%s] %s @ %s x%llu: %s\n", RegionName(ev.region),
                 ev.kind.c_str(), ev.location.c_str(),
                 (unsigned long long)ev.count, ev.message.c_str());
+  }
+}
+
+const char* IndexKindName(collection::IndexKind kind) {
+  switch (kind) {
+    case collection::IndexKind::kBTree:
+      return "btree";
+    case collection::IndexKind::kHashTable:
+      return "hash";
+    case collection::IndexKind::kList:
+      break;
+  }
+  return "list";
+}
+
+// The object layer's view of an image: the root object and every
+// collection with its indexes. Opening the layers writes only into the
+// read-only overlay; an image without an object layer reports why.
+void PrintCollections(chunk::ChunkStore* chunks) {
+  auto objects = object::ObjectStore::Open(chunks);
+  Status opened = objects.status();
+  std::unique_ptr<collection::CollectionStore> colls;
+  if (opened.ok()) {
+    auto c = collection::CollectionStore::Open(objects->get());
+    opened = c.status();
+    if (opened.ok()) colls = std::move(c).value();
+  }
+  if (!opened.ok()) {
+    std::printf("objects:      none (%s)\n", opened.ToString().c_str());
+    return;
+  }
+  auto root = (*objects)->GetRoot();
+  if (!root.ok()) {
+    std::printf("root object:  unreadable (%s)\n",
+                root.status().ToString().c_str());
+  } else if (*root == object::kInvalidObjectId) {
+    std::printf("root object:  none\n");
+  } else {
+    std::printf("root object:  %llu\n", (unsigned long long)*root);
+  }
+  collection::CTransaction ct(colls.get());
+  auto names = ct.ListCollections();
+  if (!names.ok()) {
+    std::printf("collections:  unreadable (%s)\n",
+                names.status().ToString().c_str());
+    return;
+  }
+  std::printf("collections:  %zu\n", names->size());
+  for (const std::string& name : *names) {
+    auto coll = ct.ReadCollection(name);
+    if (!coll.ok()) {
+      std::printf("  %-20s unreadable (%s)\n", name.c_str(),
+                  coll.status().ToString().c_str());
+      continue;
+    }
+    std::printf("  %-20s (object %llu)\n", name.c_str(),
+                (unsigned long long)(*coll)->id());
+    for (const collection::IndexDesc& desc : (*coll)->indexes()) {
+      std::printf("    index %-16s %-6s %s%s\n", desc.name.c_str(),
+                  IndexKindName(desc.kind), desc.unique ? "unique" : "multi",
+                  desc.immutable_keys ? " immutable-keys" : "");
+    }
   }
 }
 
@@ -596,6 +661,7 @@ int main(int argc, char** argv) {
                   (unsigned long long)*counter_value);
     }
     PrintSnapshot(snap);
+    PrintCollections(chunks.get());
   }
 
   // Close flushes into the overlay only; the image on disk is untouched.
