@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -31,6 +30,14 @@ constexpr size_t kVerifyBatchChunks = 256;
 // this is rejected as tampered without allocating.
 constexpr size_t kMaxDecompressedChunk = size_t{1} << 30;
 
+// Bytes of one-way hash stored per location-map entry. Truncating to 12
+// (96 bits) matches the paper's per-chunk overhead (§7.4) and shrinks
+// checkpoints substantially.
+constexpr size_t kMapHashBytes = 12;
+
+// Extra entropy mixed into the encryption-IV generator.
+constexpr char kIvSeed[] = "tdb-iv";
+
 // Parses "seg-<id>"; returns false for other files (anchors etc.).
 bool ParseSegmentName(const std::string& name, uint32_t* id) {
   if (name.rfind(kSegmentPrefix, 0) != 0) return false;
@@ -42,6 +49,24 @@ bool ParseSegmentName(const std::string& name, uint32_t* id) {
   if (name.size() == 4 || value > UINT32_MAX) return false;
   *id = static_cast<uint32_t>(value);
   return true;
+}
+
+// Last-op-wins normalization: later operations on a chunk id supersede
+// earlier ones. Returns, for each id in first-seen order, the index in
+// `ops` of the last operation on it.
+template <typename Op>
+std::vector<size_t> LastOpPerChunk(const std::vector<Op>& ops) {
+  std::unordered_map<ChunkId, size_t> slot;  // cid -> index into `winners`.
+  std::vector<size_t> winners;
+  for (size_t i = 0; i < ops.size(); i++) {
+    auto [it, inserted] = slot.insert({ops[i].cid, winners.size()});
+    if (inserted) {
+      winners.push_back(i);
+    } else {
+      winners[it->second] = i;
+    }
+  }
+  return winners;
 }
 
 }  // namespace
@@ -70,6 +95,10 @@ ChunkStore::ChunkStore(platform::UntrustedStore* store,
       suite_(std::move(suite)),
       anchor_mgr_(store, &suite_, entry_hash_size()),
       map_(options.map_fanout),
+      loader_([this](uint32_t level, uint64_t index, const Location& loc,
+                     const crypto::Digest& hash) {
+        return LoadNode(static_cast<int>(level), index, loc, hash);
+      }),
       metrics_(options.metrics != nullptr
                    ? options.metrics
                    : std::make_shared<common::MetricsRegistry>()),
@@ -200,10 +229,7 @@ Buffer ChunkStore::NextIvSerial() {
 }
 
 size_t ChunkStore::entry_hash_size() const {
-  size_t full = suite_.hash_size();
-  if (full == 0) return 0;
-  if (options_.map_hash_bytes == 0) return full;
-  return std::min<size_t>(full, options_.map_hash_bytes);
+  return std::min<size_t>(suite_.hash_size(), kMapHashBytes);
 }
 
 crypto::Digest ChunkStore::EntryHash(Slice sealed) const {
@@ -227,8 +253,7 @@ Result<std::unique_ptr<ChunkStore>> ChunkStore::Open(
   if (options.security.enabled) {
     TDB_ASSIGN_OR_RETURN(secret, secrets->GetSecret());
   }
-  crypto::CipherSuite suite(options.security, secret,
-                            Slice(options.iv_seed));
+  crypto::CipherSuite suite(options.security, secret, Slice(kIvSeed));
   std::unique_ptr<ChunkStore> cs(
       new ChunkStore(store, counter, options, std::move(suite)));
 
@@ -301,7 +326,7 @@ Status ChunkStore::Recover() {
 
   if (has_root_) {
     TDB_ASSIGN_OR_RETURN(std::shared_ptr<MapNode> root,
-                         LoadRoot(root_loc_, root_hash_));
+                         LoadNode(-1, 0, root_loc_, root_hash_));
     map_.ResetToRoot(std::move(root));
   }
 
@@ -315,7 +340,6 @@ Status ChunkStore::Recover() {
   std::vector<ScannedCommit> commits;
   crypto::Digest prev = ckpt_mac_;
   const size_t mac_size = suite_.hash_size();
-  NodeLoader loader = MakeLoader();
 
   uint32_t seg = scan_segment_;
   uint64_t off = scan_offset_;
@@ -397,19 +421,6 @@ Status ChunkStore::Recover() {
     }
     off = file_size;
   }
-  if (std::getenv("TDB_RECOVERY_DEBUG") != nullptr) {
-    std::fprintf(stderr,
-                 "[recover] scanned=%zu stop=%d scan_seg=%u scan_off=%u "
-                 "anchor_seq=%llu\n",
-                 commits.size(), (int)stop, scan_segment_, scan_offset_,
-                 (unsigned long long)anchor.seq);
-    if (!commits.empty()) {
-      std::fprintf(stderr, "[recover] first_seq=%llu last_seq=%llu\n",
-                   (unsigned long long)commits.front().manifest.seq,
-                   (unsigned long long)commits.back().manifest.seq);
-    }
-  }
-
   // --- Freshness: the last durable commit must match the counter ---------
   if (suite_.enabled()) {
     uint64_t last_counter = anchor.counter;
@@ -458,11 +469,11 @@ Status ChunkStore::Recover() {
       entry.flags = w.flags;
       entry.loc = w.loc;
       entry.hash = w.hash;
-      TDB_RETURN_IF_ERROR(map_.Put(w.cid, entry, loader).status());
+      TDB_RETURN_IF_ERROR(map_.Put(w.cid, entry, loader_).status());
       AtomicMax(next_chunk_id_, w.cid + 1);
     }
     for (ChunkId cid : c.manifest.deallocs) {
-      TDB_RETURN_IF_ERROR(map_.Remove(cid, loader).status());
+      TDB_RETURN_IF_ERROR(map_.Remove(cid, loader_).status());
     }
     AtomicMax(next_chunk_id_, c.manifest.next_chunk_id);
     seq_ = c.manifest.seq;
@@ -520,9 +531,8 @@ Status ChunkStore::RebuildAccounting() {
     m_.segments->Set(static_cast<int64_t>(segments_.size()));
     return Status::OK();
   }
-  NodeLoader loader = MakeLoader();
   TDB_RETURN_IF_ERROR(map_.ForEachNode(
-      map_.root(), loader, [&](const MapNode& node) {
+      map_.root(), loader_, [&](const MapNode& node) {
         if (node.has_persisted) {
           AccountLive(node.persisted_loc.segment, node.persisted_size,
                       /*is_map=*/true);
@@ -598,17 +608,6 @@ Status ChunkStore::FlushTail() {
   residual_bytes_ += tail_buf_.size();
   dirty_files_.insert(name);
   tail_buf_.clear();
-  return Status::OK();
-}
-
-Status ChunkStore::SyncDirtyFilesLocked() {
-  common::TraceSpan span("chunk.sync");
-  common::ScopedTimer timer(metrics_.get(), m_.sync_latency_us);
-  for (const std::string& name : dirty_files_) {
-    TDB_RETURN_IF_ERROR(store_->Sync(name));
-  }
-  dirty_files_.clear();
-  m_.log_syncs->Increment();
   return Status::OK();
 }
 
@@ -712,52 +711,25 @@ Result<Buffer> ChunkStore::ValidateSealed(const MapEntry& entry,
   return plain;
 }
 
-NodeLoader ChunkStore::MakeLoader() {
-  return [this](uint32_t level, uint64_t index, const Location& loc,
-                const crypto::Digest& hash)
-             -> Result<std::shared_ptr<MapNode>> {
-    TDB_ASSIGN_OR_RETURN(Buffer sealed,
-                         ReadRawRecord(loc, RecordType::kMapNode, hash));
-    auto plain = suite_.Open(sealed);
-    if (!plain.ok()) {
-      AuditDetect("decrypt_failure", common::kRegionMap, LocationString(loc),
-                  "map node decryption failed");
-      return Status::TamperDetected("map node decryption failed");
-    }
-    TDB_ASSIGN_OR_RETURN(
-        std::shared_ptr<MapNode> node,
-        LocationMap::DecodeNode(*plain, map_.fanout(), entry_hash_size()));
-    if (node->level != level || node->index != index) {
-      AuditDetect("map_node_mismatch", common::kRegionMap,
-                  LocationString(loc), "map node identity mismatch");
-      return Status::TamperDetected("map node identity mismatch");
-    }
-    node->has_persisted = true;
-    node->persisted_loc = loc;
-    node->persisted_hash = hash;
-    node->persisted_size =
-        static_cast<uint32_t>(kRecordHeaderSize + loc.length);
-    return node;
-  };
-}
-
-Result<std::shared_ptr<MapNode>> ChunkStore::LoadRoot(
-    const Location& loc, const crypto::Digest& hash) {
+Result<std::shared_ptr<MapNode>> ChunkStore::LoadNode(
+    int level, uint64_t index, const Location& loc,
+    const crypto::Digest& hash) {
   TDB_ASSIGN_OR_RETURN(Buffer sealed,
                        ReadRawRecord(loc, RecordType::kMapNode, hash));
   auto plain = suite_.Open(sealed);
   if (!plain.ok()) {
     AuditDetect("decrypt_failure", common::kRegionMap, LocationString(loc),
-                "map root decryption failed");
-    return Status::TamperDetected("map root decryption failed");
+                "map node decryption failed");
+    return Status::TamperDetected("map node decryption failed");
   }
   TDB_ASSIGN_OR_RETURN(
       std::shared_ptr<MapNode> node,
       LocationMap::DecodeNode(*plain, map_.fanout(), entry_hash_size()));
-  if (node->index != 0) {
+  if ((level >= 0 && node->level != static_cast<uint32_t>(level)) ||
+      node->index != index) {
     AuditDetect("map_node_mismatch", common::kRegionMap, LocationString(loc),
-                "map root identity mismatch");
-    return Status::TamperDetected("map root identity mismatch");
+                "map node identity mismatch");
+    return Status::TamperDetected("map node identity mismatch");
   }
   node->has_persisted = true;
   node->persisted_loc = loc;
@@ -789,7 +761,7 @@ Result<Buffer> ChunkStore::Read(ChunkId cid) {
   // serve as the current state.
   std::lock_guard<std::mutex> lock(mu_);
   TDB_ASSIGN_OR_RETURN(std::optional<MapEntry> entry,
-                       map_.Get(cid, MakeLoader()));
+                       map_.Get(cid, loader_));
   if (!entry.has_value()) {
     return Status::NotFound("chunk " + std::to_string(cid));
   }
@@ -803,18 +775,6 @@ Result<Buffer> ChunkStore::Read(ChunkId cid) {
   return plain;
 }
 
-Status ChunkStore::Write(ChunkId cid, Slice data, bool durable) {
-  WriteBatch batch;
-  batch.Write(cid, data);
-  return Commit(batch, durable);
-}
-
-Status ChunkStore::Deallocate(ChunkId cid, bool durable) {
-  WriteBatch batch;
-  batch.Deallocate(cid);
-  return Commit(batch, durable);
-}
-
 Status ChunkStore::Commit(const WriteBatch& batch, bool durable) {
   common::ScopedTimer timer(metrics_.get(), m_.commit_latency_us);
   TDB_ASSIGN_OR_RETURN(CommitHandle handle, CommitBuffered(batch, durable));
@@ -825,31 +785,22 @@ Status ChunkStore::Commit(const WriteBatch& batch, bool durable) {
 // Commit machinery
 
 Status ChunkStore::PrepareBatch(const WriteBatch& batch, PreparedBatch* out) {
-  // Normalize: the last operation on a chunk id wins.
-  std::unordered_map<ChunkId, const WriteBatch::Op*> last;
-  std::vector<ChunkId> order;
   for (const WriteBatch::Op& op : batch.ops_) {
     if (op.cid == kInvalidChunkId) {
       return Status::InvalidArgument("invalid chunk id 0");
     }
-    auto [it, inserted] = last.insert({op.cid, &op});
-    if (inserted) {
-      order.push_back(op.cid);
-    } else {
-      it->second = &op;
-    }
   }
   std::vector<const WriteBatch::Op*> write_ops;
-  for (ChunkId cid : order) {
-    const WriteBatch::Op* op = last[cid];
+  for (size_t i : LastOpPerChunk(batch.ops_)) {
+    const WriteBatch::Op* op = &batch.ops_[i];
+    out->touched.push_back(op->cid);
     if (op->is_write) {
       write_ops.push_back(op);
       m_.sealed_bytes->Add(static_cast<int64_t>(op->data.size()));
     } else {
-      out->deallocs.push_back(cid);
+      out->deallocs.push_back(op->cid);
     }
   }
-  out->touched = std::move(order);
 
   // Seal + hash the staged writes — on the committer's own thread, outside
   // the commit mutex, so concurrent committers overlap their crypto. Each
@@ -917,7 +868,6 @@ Status ChunkStore::BufferBatchLocked(const PreparedBatch& prep) {
   const size_t ops_start = group_ops_.size();
   std::vector<AppliedOp> applied;
   applied.reserve(prep.writes.size() + prep.deallocs.size());
-  NodeLoader loader = MakeLoader();
   Status failed = Status::OK();
 
   for (const StagedWrite& w : prep.writes) {
@@ -931,7 +881,7 @@ Status ChunkStore::BufferBatchLocked(const PreparedBatch& prep) {
     entry.flags = w.flags;
     entry.loc = *loc;
     entry.hash = w.hash;
-    auto old = map_.Put(w.cid, entry, loader);
+    auto old = map_.Put(w.cid, entry, loader_);
     if (!old.ok()) {
       failed = old.status();
       break;
@@ -950,7 +900,7 @@ Status ChunkStore::BufferBatchLocked(const PreparedBatch& prep) {
   }
   if (failed.ok()) {
     for (ChunkId cid : prep.deallocs) {
-      auto old = map_.Remove(cid, loader);
+      auto old = map_.Remove(cid, loader_);
       if (!old.ok()) {
         failed = old.status();
         break;
@@ -984,15 +934,15 @@ Status ChunkStore::BufferBatchLocked(const PreparedBatch& prep) {
       AccountLive(p.loc.segment,
                   -static_cast<int64_t>(kRecordHeaderSize + p.loc.length));
       if (a.old_entry.has_value()) {
-        map_.Put(a.cid, *a.old_entry, loader).status().ok();
+        map_.Put(a.cid, *a.old_entry, loader_).status().ok();
         AccountLive(a.old_entry->loc.segment,
                     kRecordHeaderSize + a.old_entry->loc.length);
       } else {
-        map_.Remove(a.cid, loader).status().ok();
+        map_.Remove(a.cid, loader_).status().ok();
         m_.live_chunks->Add(-1);
       }
     } else if (a.old_entry.has_value()) {
-      map_.Put(a.cid, *a.old_entry, loader).status().ok();
+      map_.Put(a.cid, *a.old_entry, loader_).status().ok();
       AccountLive(a.old_entry->loc.segment,
                   kRecordHeaderSize + a.old_entry->loc.length);
       m_.live_chunks->Add(1);
@@ -1020,25 +970,13 @@ Result<ChunkStore::SealResult> ChunkStore::SealGroupLocked(
   // Merge the buffered group into ONE manifest: the last operation on a
   // chunk id wins across ALL buffered batches, so a write followed by a
   // groupmate's deallocate (or overwrite) cannot resurrect at recovery.
-  {
-    std::unordered_map<ChunkId, size_t> last;
-    std::vector<ChunkId> order;
-    for (size_t i = 0; i < group_ops_.size(); i++) {
-      auto [it, inserted] = last.insert({group_ops_[i].cid, i});
-      if (inserted) {
-        order.push_back(group_ops_[i].cid);
-      } else {
-        it->second = i;
-      }
-    }
-    for (ChunkId cid : order) {
-      const PendingOp& op = group_ops_[last[cid]];
-      if (op.is_write) {
-        manifest.writes.push_back(
-            ManifestWrite{op.cid, op.loc, op.hash, op.flags});
-      } else {
-        manifest.deallocs.push_back(op.cid);
-      }
+  for (size_t i : LastOpPerChunk(group_ops_)) {
+    const PendingOp& op = group_ops_[i];
+    if (op.is_write) {
+      manifest.writes.push_back(
+          ManifestWrite{op.cid, op.loc, op.hash, op.flags});
+    } else {
+      manifest.deallocs.push_back(op.cid);
     }
   }
   manifest.next_chunk_id = next_chunk_id_.load();
@@ -1069,29 +1007,76 @@ Result<ChunkStore::SealResult> ChunkStore::SealGroupLocked(
   return res;
 }
 
-Status ChunkStore::FinishDurableLocked(const SealResult& seal) {
-  TDB_RETURN_IF_ERROR(SyncDirtyFilesLocked());
-  if (seal.bump_counter) {
+Status ChunkStore::SyncAndBump(const std::set<std::string>& files,
+                               const SealResult& seal, FlushMarks* marks) {
+  const bool tracing = common::TracingEnabled();
+  marks->traced = tracing;
+  if (tracing) marks->sync_start = common::MonotonicMicros();
+  {
+    common::TraceSpan span("chunk.sync");
+    common::ScopedTimer timer(metrics_.get(), m_.sync_latency_us);
+    for (const std::string& name : files) {
+      TDB_RETURN_IF_ERROR(store_->Sync(name));
+    }
+  }
+  if (tracing) marks->sync_end = common::MonotonicMicros();
+  m_.log_syncs->Increment();
+  if (!seal.bump_counter) return Status::OK();
+  marks->bumped = true;
+  if (tracing) marks->bump_start = common::MonotonicMicros();
+  {
     common::TraceSpan span("chunk.counter_bump");
     common::ScopedTimer timer(metrics_.get(), m_.counter_bump_latency_us);
     TDB_ASSIGN_OR_RETURN(uint64_t cv, counter_->Increment());
     m_.counter_bumps->Increment();
     TDB_CHECK(cv >= seal.counter_target,
               "one-way counter regressed during commit");
-    counter_value_ = seal.counter_target;
   }
+  if (tracing) marks->bump_end = common::MonotonicMicros();
   return Status::OK();
 }
 
-void ChunkStore::CompleteTicketsLocked(
-    std::vector<std::shared_ptr<internal::CommitTicket>>* tickets,
-    const Status& status) {
+Status ChunkStore::AckFlushLocked(Tickets* tickets, int own_acks,
+                                  Status result, const FlushMarks& marks) {
+  const int64_t n = static_cast<int64_t>(tickets->size());
+  if (result.ok()) {
+    m_.durable_commits->Add(own_acks + n);
+    if (n > 0) {
+      m_.commit_groups->Increment();
+      m_.grouped_commits->Add(n);
+      m_.max_commits_per_group->SetMax(n);
+    }
+    result = FreePendingSegments();
+  }
+  if (n > 0 && marks.traced) {
+    // Mirror the flush into every FOLLOWER's trace (before the tickets
+    // complete, so a follower that drains right after WaitDurable returns
+    // already sees the flushing thread's work in its own tree). The
+    // flushing thread's own trace recorded the real spans; skip tickets
+    // that share it.
+    const uint64_t end = common::MonotonicMicros();
+    const uint64_t leader_trace = common::CurrentTraceContext().trace_id;
+    for (const auto& t : *tickets) {
+      if (!t->trace.valid() || t->trace.trace_id == leader_trace) continue;
+      const uint64_t flush_span_id = common::RecordExplicitSpan(
+          t->trace, "chunk.group_flush", marks.sync_start, end);
+      if (flush_span_id == 0) continue;
+      const common::TraceContext flush_ctx{t->trace.trace_id, flush_span_id};
+      common::RecordExplicitSpan(flush_ctx, "chunk.sync", marks.sync_start,
+                                 marks.sync_end);
+      if (marks.bumped) {
+        common::RecordExplicitSpan(flush_ctx, "chunk.counter_bump",
+                                   marks.bump_start, marks.bump_end);
+      }
+    }
+  }
   for (auto& ticket : *tickets) {
-    ticket->result = status;
+    ticket->result = result;
     ticket->done = true;
   }
   tickets->clear();
   group_cv_.notify_all();
+  return result;
 }
 
 void ChunkStore::AwaitGroupIdleLocked(std::unique_lock<std::mutex>& lock) {
@@ -1100,58 +1085,32 @@ void ChunkStore::AwaitGroupIdleLocked(std::unique_lock<std::mutex>& lock) {
 
 Status ChunkStore::CommitGroupDurableLocked(uint8_t flags,
                                             const NodeWriteResult* new_root) {
-  std::vector<std::shared_ptr<internal::CommitTicket>> tickets =
-      std::move(group_tickets_);
+  Tickets tickets = std::move(group_tickets_);
   group_tickets_.clear();
-
-  const bool tracing = common::TracingEnabled() && !tickets.empty();
-  const uint64_t t_flush0 = tracing ? common::MonotonicMicros() : 0;
-
-  Status result = Status::OK();
+  FlushMarks marks;
   auto seal = SealGroupLocked(flags, new_root);
-  if (!seal.ok()) {
-    result = seal.status();
-  } else {
-    result = FinishDurableLocked(*seal);
-    if (result.ok() && new_root != nullptr) {
-      has_root_ = true;
-      root_loc_ = new_root->loc;
-      root_hash_ = new_root->hash;
-      ckpt_mac_ = seal->mac;
-      scan_segment_ = cur_segment_;
-      scan_offset_ = static_cast<uint32_t>(cur_offset_);
-      residual_bytes_ = 0;
-      // The anchor is rewritten only at checkpoints; between checkpoints
-      // the commit records themselves carry the authenticated counter, so
-      // a durable commit costs exactly one sequential log write (+ sync).
-      result = WriteAnchor();
-    }
-    if (result.ok()) {
-      // One ack for this (internal or serialized) commit plus one for
-      // every absorbed group committer.
-      m_.durable_commits->Add(static_cast<int64_t>(1 + tickets.size()));
-      if (!tickets.empty()) {
-        m_.commit_groups->Increment();
-        m_.grouped_commits->Add(static_cast<int64_t>(tickets.size()));
-        m_.max_commits_per_group->SetMax(static_cast<int64_t>(tickets.size()));
-      }
-      result = FreePendingSegments();
-    }
+  Status result = seal.status();
+  if (result.ok()) result = SyncAndBump(dirty_files_, *seal, &marks);
+  if (result.ok()) {
+    dirty_files_.clear();
+    if (seal->bump_counter) counter_value_ = seal->counter_target;
   }
-  if (tracing) {
-    // This (checkpoint / serialized) durable commit absorbed buffered
-    // group tickets: mirror one flush span into each absorbed committer's
-    // trace so their trees still show what made them durable.
-    const uint64_t t_flush1 = common::MonotonicMicros();
-    const uint64_t leader_trace = common::CurrentTraceContext().trace_id;
-    for (const auto& t : tickets) {
-      if (!t->trace.valid() || t->trace.trace_id == leader_trace) continue;
-      common::RecordExplicitSpan(t->trace, "chunk.group_flush", t_flush0,
-                                 t_flush1);
-    }
+  if (result.ok() && new_root != nullptr) {
+    has_root_ = true;
+    root_loc_ = new_root->loc;
+    root_hash_ = new_root->hash;
+    ckpt_mac_ = seal->mac;
+    scan_segment_ = cur_segment_;
+    scan_offset_ = static_cast<uint32_t>(cur_offset_);
+    residual_bytes_ = 0;
+    // The anchor is rewritten only at checkpoints; between checkpoints
+    // the commit records themselves carry the authenticated counter, so
+    // a durable commit costs exactly one sequential log write (+ sync).
+    result = WriteAnchor();
   }
-  CompleteTicketsLocked(&tickets, result);
-  return result;
+  // One ack for this (internal or serialized) commit plus one for every
+  // absorbed group committer.
+  return AckFlushLocked(&tickets, 1, result, marks);
 }
 
 Status ChunkStore::LeadGroupFlushLocked(std::unique_lock<std::mutex>& lock) {
@@ -1174,107 +1133,39 @@ Status ChunkStore::LeadGroupFlushLocked(std::unique_lock<std::mutex>& lock) {
       group_cv_.wait_until(lock, deadline);
     }
   }
-  std::vector<std::shared_ptr<internal::CommitTicket>> tickets =
-      std::move(group_tickets_);
+  Tickets tickets = std::move(group_tickets_);
   group_tickets_.clear();
-
+  FlushMarks marks;
   auto seal = SealGroupLocked(kCommitDurable, nullptr);
-  if (!seal.ok()) {
-    group_flushing_ = false;
-    CompleteTicketsLocked(&tickets, seal.status());
-    return seal.status();
-  }
-  // Snapshot the dirty-file set under the lock, then run the expensive
-  // Sync + counter bump OUTSIDE it: followers keep sealing and buffering
-  // (and cache-miss readers keep reading) while the flush I/O is in
-  // flight. Only one flush runs at a time (group_flushing_), and locked
-  // durable paths await idleness, so the counter bump cannot interleave.
-  std::set<std::string> to_sync = std::move(dirty_files_);
-  dirty_files_.clear();
-  lock.unlock();
-
-  Status result = Status::OK();
-  // Wall-clock marks for mirroring the leader's work into follower traces
-  // (only read when tracing is on; `bumped` flags that the bump ran, since
-  // a fake test clock may legitimately report 0).
-  const bool tracing = common::TracingEnabled();
-  uint64_t t_flush0 = 0, t_sync1 = 0, t_bump0 = 0, t_bump1 = 0, t_flush1 = 0;
-  bool bumped = false;
-  if (tracing) t_flush0 = common::MonotonicMicros();
-  {
-    common::TraceSpan flush_span("chunk.group_flush");
-    common::ScopedTimer flush_timer(metrics_.get(),
-                                    m_.group_flush_latency_us);
+  Status result = seal.status();
+  if (result.ok()) {
+    // Snapshot the dirty-file set under the lock, then run the expensive
+    // Sync + counter bump OUTSIDE it: followers keep sealing and buffering
+    // (and cache-miss readers keep reading) while the flush I/O is in
+    // flight. Only one flush runs at a time (group_flushing_), and locked
+    // durable paths await idleness, so the counter bump cannot interleave.
+    std::set<std::string> to_sync = std::move(dirty_files_);
+    dirty_files_.clear();
+    lock.unlock();
     {
-      common::TraceSpan sync_span("chunk.sync");
-      common::ScopedTimer sync_timer(metrics_.get(), m_.sync_latency_us);
-      for (const std::string& name : to_sync) {
-        Status s = store_->Sync(name);
-        if (!s.ok()) {
-          result = s;
-          break;
-        }
-      }
+      common::TraceSpan flush_span("chunk.group_flush");
+      common::ScopedTimer flush_timer(metrics_.get(),
+                                      m_.group_flush_latency_us);
+      result = SyncAndBump(to_sync, *seal, &marks);
     }
-    if (tracing) t_sync1 = common::MonotonicMicros();
-    if (result.ok()) m_.log_syncs->Increment();
-    if (result.ok() && seal->bump_counter) {
-      bumped = true;
-      if (tracing) t_bump0 = common::MonotonicMicros();
-      common::TraceSpan bump_span("chunk.counter_bump");
-      common::ScopedTimer bump_timer(metrics_.get(),
-                                     m_.counter_bump_latency_us);
-      auto cv = counter_->Increment();
-      if (cv.ok()) {
-        m_.counter_bumps->Increment();
-        TDB_CHECK(*cv >= seal->counter_target,
-                  "one-way counter regressed during commit");
-      } else {
-        result = cv.status();
-      }
-      if (tracing) t_bump1 = common::MonotonicMicros();
+    lock.lock();
+    if (!result.ok()) {
+      // Failed flush: files stay dirty for the next attempt, the counter
+      // target is re-sealed by the next group (counter_value_ unchanged),
+      // and the WHOLE group fails — durability is never acked without a
+      // covering sync + bump.
+      dirty_files_.insert(to_sync.begin(), to_sync.end());
+    } else if (seal->bump_counter) {
+      counter_value_ = seal->counter_target;
     }
-  }
-  if (tracing) t_flush1 = common::MonotonicMicros();
-
-  lock.lock();
-  if (tracing) {
-    // Mirror the flush into every FOLLOWER's trace (before the tickets
-    // complete, so a follower that drains right after WaitDurable returns
-    // already sees the leader's work in its own tree). The leader's own
-    // trace recorded the real spans above; skip tickets that share it.
-    const uint64_t leader_trace = common::CurrentTraceContext().trace_id;
-    for (const auto& t : tickets) {
-      if (!t->trace.valid() || t->trace.trace_id == leader_trace) continue;
-      const uint64_t flush_span_id = common::RecordExplicitSpan(
-          t->trace, "chunk.group_flush", t_flush0, t_flush1);
-      if (flush_span_id == 0) continue;
-      const common::TraceContext flush_ctx{t->trace.trace_id, flush_span_id};
-      common::RecordExplicitSpan(flush_ctx, "chunk.sync", t_flush0, t_sync1);
-      if (bumped) {
-        common::RecordExplicitSpan(flush_ctx, "chunk.counter_bump", t_bump0,
-                                   t_bump1);
-      }
-    }
-  }
-  if (!result.ok()) {
-    // Failed flush: files stay dirty for the next attempt, the counter
-    // target is re-sealed by the next group (counter_value_ unchanged),
-    // and the WHOLE group fails — durability is never acked without a
-    // covering sync + bump.
-    dirty_files_.insert(to_sync.begin(), to_sync.end());
-  } else {
-    if (seal->bump_counter) counter_value_ = seal->counter_target;
-    const uint64_t n = tickets.size();
-    m_.durable_commits->Add(static_cast<int64_t>(n));
-    m_.grouped_commits->Add(static_cast<int64_t>(n));
-    m_.commit_groups->Increment();
-    m_.max_commits_per_group->SetMax(static_cast<int64_t>(n));
-    result = FreePendingSegments();
   }
   group_flushing_ = false;
-  CompleteTicketsLocked(&tickets, result);
-  return result;
+  return AckFlushLocked(&tickets, 0, result, marks);
 }
 
 Result<CommitHandle> ChunkStore::CommitBuffered(const WriteBatch& batch,
@@ -1335,7 +1226,7 @@ Result<CommitHandle> ChunkStore::CommitBuffered(const WriteBatch& batch,
     AwaitGroupIdleLocked(lock);  // No-op in this mode; defensive.
     result = CommitGroupDurableLocked(kCommitDurable, nullptr);
   } else {
-    result = SealGroupLocked(durable ? kCommitDurable : 0, nullptr).status();
+    result = SealGroupLocked(0, nullptr).status();
   }
   if (!result.ok()) {
     for (ChunkId cid : prep.touched) {
@@ -1403,18 +1294,10 @@ Status ChunkStore::RunMaintenance() {
 }
 
 bool ChunkStore::MaintenanceDueLocked() {
-  if (residual_bytes_ >= options_.checkpoint_interval_bytes) return true;
-  if (ActiveSnapshots() > 0 || options_.max_clean_segments_per_commit <= 0) {
-    return false;
-  }
-  // Same utilization trigger as MaybeCleanLocked (which re-checks after
-  // the group goes idle; this is only an early out).
-  const uint64_t target = std::max<uint64_t>(
-      static_cast<uint64_t>(m_.live_bytes->value() /
-                            options_.max_utilization),
-      2 * static_cast<uint64_t>(options_.segment_size));
-  return static_cast<uint64_t>(m_.total_bytes->value()) >
-         target + options_.segment_size;
+  // MaybeCleanLocked re-checks the trigger after the group goes idle; this
+  // is only an early out.
+  return residual_bytes_ >= options_.checkpoint_interval_bytes ||
+         CleanTargetLocked() != 0;
 }
 
 Status ChunkStore::WriteAnchor() {
@@ -1522,15 +1405,7 @@ void ChunkStore::PublishSegmentCensusLocked() const {
     int64_t segments = 0, bytes = 0, live_bytes = 0;
   } tally[4];
   for (const auto& [id, info] : segments_) {
-    SegmentClass c = kCleanable;
-    if (id >= scan_segment_) {
-      c = kResidual;
-    } else if (info.live_map > 0) {
-      c = kMapLive;
-    } else if (static_cast<double>(info.live) >
-               options_.max_utilization * info.total) {
-      c = kDense;
-    }
+    const SegmentClass c = ClassOf(id, info);
     tally[c].segments++;
     tally[c].bytes += static_cast<int64_t>(info.total);
     tally[c].live_bytes += static_cast<int64_t>(info.live);
@@ -1572,30 +1447,51 @@ size_t ChunkStore::ActiveSnapshots() {
   return static_cast<size_t>(live);
 }
 
+ChunkStore::SegmentClass ChunkStore::ClassOf(uint32_t id,
+                                             const SegInfo& info) const {
+  // Segments at or past the residual-log scan position (the tail segment
+  // included) hold the commit chain recovery replays, so they become
+  // cleanable only after the next checkpoint.
+  if (id >= scan_segment_) return kResidual;
+  // Segments holding live map nodes wait for a checkpoint to relocate
+  // them; cleaning sticks to data-only segments so it never forces a full
+  // map flush (bounded per-commit cost, §3.2.1).
+  if (info.live_map > 0) return kMapLive;
+  // Cleaning economy: relocating a victim costs its live bytes and only
+  // frees its dead bytes. Victims denser than the utilization target have
+  // no yield — they wait until more of their records die. Without this,
+  // tight targets degenerate into copying the whole database per commit
+  // (the paper's Fig. 11 knee is this copy cost growing).
+  if (static_cast<double>(info.live) >
+      options_.max_utilization * info.total) {
+    return kDense;
+  }
+  return kCleanable;
+}
+
+uint64_t ChunkStore::CleanTargetLocked() {
+  if (ActiveSnapshots() > 0 || options_.max_clean_segments_per_commit <= 0) {
+    return 0;
+  }
+  const uint64_t target = std::max<uint64_t>(
+      static_cast<uint64_t>(m_.live_bytes->value() /
+                            options_.max_utilization),
+      2 * static_cast<uint64_t>(options_.segment_size));
+  if (static_cast<uint64_t>(m_.total_bytes->value()) <=
+      target + options_.segment_size) {
+    return 0;
+  }
+  return target;
+}
+
 std::vector<uint32_t> ChunkStore::CleanCandidates(uint64_t target,
                                                   int max_segments) {
   std::set<uint32_t> pending(pending_free_.begin(), pending_free_.end());
   std::vector<std::pair<uint64_t, uint32_t>> candidates;
   for (const auto& [id, info] : segments_) {
-    // Segments holding live map nodes wait for a checkpoint to relocate
-    // them; cleaning sticks to data-only segments so it never forces a
-    // full map flush (bounded per-commit cost, §3.2.1). Segments at or
-    // past the residual-log scan position hold the commit chain recovery
-    // replays, so they become cleanable only after the next checkpoint.
-    if (id == cur_segment_ || pending.count(id) || info.live_map > 0 ||
-        id >= scan_segment_) {
-      continue;
+    if (ClassOf(id, info) == kCleanable && !pending.count(id)) {
+      candidates.push_back({info.live, id});
     }
-    // Cleaning economy: relocating a victim costs its live bytes and only
-    // frees its dead bytes. Victims denser than the utilization target
-    // have no yield — they wait until more of their records die. Without
-    // this, tight targets degenerate into copying the whole database per
-    // commit (the paper's Fig. 11 knee is this copy cost growing).
-    if (static_cast<double>(info.live) >
-        options_.max_utilization * info.total) {
-      continue;
-    }
-    candidates.push_back({info.live, id});
   }
   std::sort(candidates.begin(), candidates.end());
   std::vector<uint32_t> victims;
@@ -1621,9 +1517,8 @@ Status ChunkStore::UnlockGarbageWithCheckpoint() {
   uint64_t locked_dead = 0;
   for (const auto& [id, info] : segments_) {
     if (id == cur_segment_) continue;
-    if (id >= scan_segment_ || info.live_map > 0) {
-      locked_dead += info.total - info.live;
-    }
+    const SegmentClass c = ClassOf(id, info);
+    if (c == kResidual || c == kMapLive) locked_dead += info.total - info.live;
   }
   if (locked_dead < options_.segment_size) return Status::OK();
   // Tighter utilization targets need garbage unlocked (and hence
@@ -1640,9 +1535,8 @@ Status ChunkStore::UnlockGarbageWithCheckpoint() {
   // relocates them and the segments become cleanable.
   std::set<uint32_t> stale_map_segments;
   for (const auto& [id, info] : segments_) {
-    if (id >= scan_segment_ || info.live_map == 0) continue;
-    if (static_cast<double>(info.live) <=
-        options_.max_utilization * info.total) {
+    if (ClassOf(id, info) == kMapLive &&
+        ClassOf(id, SegInfo{info.total, info.live, 0}) == kCleanable) {
       stale_map_segments.insert(id);
       if (stale_map_segments.size() >= 8) break;
     }
@@ -1654,7 +1548,6 @@ Status ChunkStore::UnlockGarbageWithCheckpoint() {
 }
 
 Result<bool> ChunkStore::DirtyMapNodesIn(const std::set<uint32_t>& victims) {
-  NodeLoader loader = MakeLoader();
   // Full tree walk: a child whose own record is outside every victim can
   // still have descendants inside one.
   std::function<Result<bool>(const std::shared_ptr<MapNode>&)> mark =
@@ -1667,8 +1560,9 @@ Result<bool> ChunkStore::DirtyMapNodesIn(const std::set<uint32_t>& victims) {
         std::shared_ptr<MapNode> child = node->children[i];
         if (child == nullptr) {
           TDB_ASSIGN_OR_RETURN(
-              child, loader(node->level - 1, node->index * map_.fanout() + i,
-                            node->entries[i].loc, node->entries[i].hash));
+              child, LoadNode(static_cast<int>(node->level) - 1,
+                              node->index * map_.fanout() + i,
+                              node->entries[i].loc, node->entries[i].hash));
           node->children[i] = child;
         }
         TDB_ASSIGN_OR_RETURN(bool child_any, mark(child));
@@ -1682,29 +1576,10 @@ Result<bool> ChunkStore::DirtyMapNodesIn(const std::set<uint32_t>& victims) {
 }
 
 Status ChunkStore::MaybeCleanLocked() {
-  if (in_maintenance_ || ActiveSnapshots() > 0 ||
-      options_.max_clean_segments_per_commit <= 0) {
-    return Status::OK();
-  }
-  const uint64_t target = std::max<uint64_t>(
-      static_cast<uint64_t>(m_.live_bytes->value() /
-                            options_.max_utilization),
-      2 * static_cast<uint64_t>(options_.segment_size));
-  if (static_cast<uint64_t>(m_.total_bytes->value()) <=
-      target + options_.segment_size) {
-    return Status::OK();
-  }
-  std::vector<uint32_t> victims =
-      CleanCandidates(target, options_.max_clean_segments_per_commit);
-  if (victims.empty()) {
-    in_maintenance_ = true;
-    Status unlocked = UnlockGarbageWithCheckpoint();
-    in_maintenance_ = false;
-    TDB_RETURN_IF_ERROR(unlocked);
-    victims = CleanCandidates(target, options_.max_clean_segments_per_commit);
-  }
-  if (victims.empty()) return Status::OK();
-  return CleanSegments(victims);
+  if (in_maintenance_) return Status::OK();
+  const uint64_t target = CleanTargetLocked();
+  if (target == 0) return Status::OK();
+  return CleanLocked(target, options_.max_clean_segments_per_commit);
 }
 
 Status ChunkStore::Clean(int max_segments) {
@@ -1714,13 +1589,17 @@ Status ChunkStore::Clean(int max_segments) {
     return Status::OK();
   }
   AwaitGroupIdleLocked(lock);
-  std::vector<uint32_t> victims = CleanCandidates(0, max_segments);
+  return CleanLocked(0, max_segments);
+}
+
+Status ChunkStore::CleanLocked(uint64_t target, int max_segments) {
+  std::vector<uint32_t> victims = CleanCandidates(target, max_segments);
   if (victims.empty()) {
     in_maintenance_ = true;
     Status unlocked = UnlockGarbageWithCheckpoint();
     in_maintenance_ = false;
     TDB_RETURN_IF_ERROR(unlocked);
-    victims = CleanCandidates(0, max_segments);
+    victims = CleanCandidates(target, max_segments);
   }
   if (victims.empty()) return Status::OK();
   return CleanSegments(victims);
@@ -1729,13 +1608,12 @@ Status ChunkStore::Clean(int max_segments) {
 Status ChunkStore::CleanSegments(const std::vector<uint32_t>& victims) {
   in_maintenance_ = true;
   std::set<uint32_t> victim_set(victims.begin(), victims.end());
-  NodeLoader loader = MakeLoader();
 
   // Relocate live data records out of the victims (sealed bytes move
   // verbatim; hashes are unchanged, so cached plaintext stays valid).
   std::vector<std::pair<ChunkId, MapEntry>> to_move;
   Status walk = map_.ForEach(
-      map_.root(), loader,
+      map_.root(), loader_,
       [&](ChunkId cid, const MapEntry& entry) -> Status {
         if (victim_set.count(entry.loc.segment)) {
           to_move.push_back({cid, entry});
@@ -1792,8 +1670,7 @@ Status ChunkStore::FreePendingSegments() {
   for (uint32_t id : pending_free_) {
     auto it = segments_.find(id);
     if (it == segments_.end()) continue;
-    if (it->second.live != 0 || id == cur_segment_ ||
-        id >= scan_segment_) {
+    if (it->second.live != 0 || ClassOf(id, it->second) == kResidual) {
       keep.push_back(id);  // Still referenced; try again later.
       continue;
     }
@@ -1822,7 +1699,7 @@ Status ChunkStore::VerifyIntegrity(uint64_t* chunks_checked) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     view = PinLocked();
-    TDB_RETURN_IF_ERROR(map_.ForEach(view->root_, MakeLoader(),
+    TDB_RETURN_IF_ERROR(map_.ForEach(view->root_, loader_,
                                      [&](ChunkId cid, const MapEntry&) {
                                        cids.push_back(cid);
                                        return Status::OK();
@@ -1912,12 +1789,11 @@ void ChunkStore::ReadValidated(const Snapshot& view, bool use_cache,
   size_t fetched = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    NodeLoader loader = MakeLoader();
-    for (size_t i = 0; i < n; i++) {
+      for (size_t i = 0; i < n; i++) {
       ReadSlot& slot = slots[i];
       if (slot.hit != nullptr) continue;
       Result<std::optional<MapEntry>> found =
-          map_.GetAt(view.root_, slot.cid, loader);
+          map_.GetAt(view.root_, slot.cid, loader_);
       if (!found.ok()) {
         slot.status = found.status();
       } else if (!found->has_value()) {
@@ -1989,7 +1865,7 @@ Status ChunkStore::ForEachChunkAt(
     const std::function<Status(ChunkId, const MapEntry&)>& fn) {
   if (!open_.load()) return Status::InvalidArgument("chunk store not open");
   std::lock_guard<std::mutex> lock(mu_);
-  return map_.ForEach(snap.root_, MakeLoader(), fn);
+  return map_.ForEach(snap.root_, loader_, fn);
 }
 
 Status ChunkStore::DiffSnapshots(
@@ -1997,7 +1873,7 @@ Status ChunkStore::DiffSnapshots(
     const std::function<Status(ChunkId, DiffKind, const MapEntry&)>& fn) {
   if (!open_.load()) return Status::InvalidArgument("chunk store not open");
   std::lock_guard<std::mutex> lock(mu_);
-  return map_.Diff(base.root_, delta.root_, MakeLoader(), fn);
+  return map_.Diff(base.root_, delta.root_, loader_, fn);
 }
 
 }  // namespace tdb::chunk

@@ -49,19 +49,11 @@ struct ChunkStoreOptions {
   /// Residual-log bytes that trigger an automatic checkpoint.
   uint64_t checkpoint_interval_bytes = 8 << 20;
 
-  /// Bytes of one-way hash stored per location-map entry. Truncating to 12
-  /// (96 bits) matches the paper's per-chunk overhead (§7.4) and shrinks
-  /// checkpoints substantially; 0 means the full digest.
-  uint32_t map_hash_bytes = 12;
-
   /// Upper bound on segments cleaned as a side effect of one commit,
   /// bounding per-commit cleaning latency (§3.2.1).
   int max_clean_segments_per_commit = 4;
 
   bool create_if_missing = true;
-
-  /// Extra entropy mixed into the encryption-IV generator.
-  std::string iv_seed = "tdb-iv";
 
   /// Compress-before-encrypt: each chunk plaintext is run through the
   /// built-in LZ codec before sealing and stored compressed when that is
@@ -334,8 +326,18 @@ class ChunkStoreInterface {
   virtual Result<CommitHandle> CommitBuffered(const WriteBatch& batch,
                                               bool durable) = 0;
   virtual Status WaitDurable(CommitHandle& handle) = 0;
-  virtual Status Write(ChunkId cid, Slice data, bool durable) = 0;
-  virtual Status Deallocate(ChunkId cid, bool durable) = 0;
+  /// Single-chunk conveniences: a one-op batch through Commit, defined
+  /// once for every store.
+  virtual Status Write(ChunkId cid, Slice data, bool durable) {
+    WriteBatch batch;
+    batch.Write(cid, data);
+    return Commit(batch, durable);
+  }
+  virtual Status Deallocate(ChunkId cid, bool durable) {
+    WriteBatch batch;
+    batch.Deallocate(cid);
+    return Commit(batch, durable);
+  }
   virtual Status Checkpoint() = 0;
   virtual Status Clean(int max_segments) = 0;
   virtual Status VerifyIntegrity(uint64_t* chunks_checked) = 0;
@@ -423,10 +425,6 @@ class ChunkStore : public ChunkStoreInterface {
   Result<CommitHandle> CommitBuffered(const WriteBatch& batch,
                                       bool durable) override;
   Status WaitDurable(CommitHandle& handle) override;
-
-  /// Single-chunk conveniences.
-  Status Write(ChunkId cid, Slice data, bool durable) override;
-  Status Deallocate(ChunkId cid, bool durable) override;
 
   /// Writes dirty location-map nodes and the anchor (durable). Normally
   /// automatic; exposed for idle-time maintenance. In group mode the
@@ -606,7 +604,6 @@ class ChunkStore : public ChunkStoreInterface {
   // location.
   Result<Location> Append(RecordType type, Slice payload);
   Status FlushTail();
-  Status SyncDirtyFilesLocked();
 
   // --- records (require mu_: may read the unflushed tail buffer) ---
   // I/O + structural checks only: reads the record at `loc`, verifying
@@ -641,9 +638,12 @@ class ChunkStore : public ChunkStoreInterface {
   // and callers can report the lowest index.
   void ReadValidated(const Snapshot& view, bool use_cache, ReadSlot* slots,
                      size_t n);
-  NodeLoader MakeLoader();
-  // Loads the checkpointed map root (level read from the record itself).
-  Result<std::shared_ptr<MapNode>> LoadRoot(const Location& loc,
+  // Reads, validates, decrypts and decodes the map node persisted at
+  // `loc`, checking its identity against (`level`, `index`). A negative
+  // `level` accepts the record's own level: the checkpointed root's level
+  // is read from the record itself. Backs `loader_`.
+  Result<std::shared_ptr<MapNode>> LoadNode(int level, uint64_t index,
+                                            const Location& loc,
                                             const crypto::Digest& hash);
 
   // --- commit machinery ---
@@ -677,6 +677,16 @@ class ChunkStore : public ChunkStoreInterface {
     bool bump_counter = false;
     crypto::Digest mac;
   };
+  // Wall-clock marks of one durable step, mirrored into the traces of the
+  // committers it acked. The flags say whether the marks were taken and
+  // whether the bump ran, since a fake test clock may legitimately
+  // report 0.
+  struct FlushMarks {
+    uint64_t sync_start = 0, sync_end = 0, bump_start = 0, bump_end = 0;
+    bool traced = false;  // SyncAndBump ran with tracing on.
+    bool bumped = false;
+  };
+  using Tickets = std::vector<std::shared_ptr<internal::CommitTicket>>;
 
   // Normalize + seal OUTSIDE mu_ (crypto pipeline; only the IV draw is
   // serialized). Per-batch: a failure here touches no shared state.
@@ -691,9 +701,18 @@ class ChunkStore : public ChunkStoreInterface {
   // empty durable commit is a pure sync point, as before group commit).
   Result<SealResult> SealGroupLocked(uint8_t flags,
                                      const NodeWriteResult* new_root);
-  // Requires mu_. Sync + counter bump, fully under the lock (checkpoints,
-  // cleaning, and the serialized non-group path).
-  Status FinishDurableLocked(const SealResult& seal);
+  // The durable step (§3.1, §4.1): syncs every file in `files`, then, if
+  // `seal` says so, bumps the one-way counter and checks it reached the
+  // sealed target. Touches nothing guarded by mu_, so the group leader
+  // runs it with mu_ released. Fills `marks`.
+  Status SyncAndBump(const std::set<std::string>& files,
+                     const SealResult& seal, FlushMarks* marks);
+  // Requires mu_. Acks one durable flush: on success counts the acked
+  // commits (`own_acks` for the flushing caller plus one per ticket) and
+  // frees pending segments; then mirrors the flush into the committers'
+  // traces and completes `tickets` with the result.
+  Status AckFlushLocked(Tickets* tickets, int own_acks, Status result,
+                        const FlushMarks& marks);
   // Requires mu_, group idle. The locked durable-seal path: seals the open
   // group under one merged manifest (+ optional new map root), syncs and
   // bumps under the lock, writes the anchor for checkpoints, and completes
@@ -701,23 +720,19 @@ class ChunkStore : public ChunkStoreInterface {
   Status CommitGroupDurableLocked(uint8_t flags,
                                   const NodeWriteResult* new_root);
   // Requires mu_ (released during the flush I/O). The group-leader flush:
-  // seals the open group, then syncs + bumps OUTSIDE mu_ so new commits
-  // keep buffering, then completes every waiting ticket.
+  // the same steps as CommitGroupDurableLocked, except that it syncs +
+  // bumps OUTSIDE mu_ so new commits keep buffering.
   Status LeadGroupFlushLocked(std::unique_lock<std::mutex>& lock);
   // Requires mu_. Blocks until no leader flush is in flight; durable-seal
   // paths that run under the lock (checkpoint, cleaning) must wait so two
   // flushes never interleave their counter bumps.
   void AwaitGroupIdleLocked(std::unique_lock<std::mutex>& lock);
-  // Requires mu_. Completes `tickets` with `status` and wakes waiters.
-  void CompleteTicketsLocked(
-      std::vector<std::shared_ptr<internal::CommitTicket>>* tickets,
-      const Status& status);
   // Takes mu_: deferred auto-checkpoint + cleaning after a commit.
   Status RunMaintenance();
 
-  // Cheap precheck mirroring MaybeCheckpointLocked/MaybeCleanLocked
-  // trigger conditions, so RunMaintenance can bail before serializing
-  // against an in-flight group flush (or its accumulation window) when no
+  // Cheap precheck of the MaybeCheckpointLocked/MaybeCleanLocked
+  // triggers, so RunMaintenance can bail before serializing against an
+  // in-flight group flush (or its accumulation window) when no
   // maintenance is owed.
   bool MaintenanceDueLocked();
 
@@ -726,9 +741,18 @@ class ChunkStore : public ChunkStoreInterface {
   Status MaybeCheckpointLocked();
 
   // --- cleaning (require mu_) ---
+  // The segment policy: which SegmentClass `id` falls in.
+  SegmentClass ClassOf(uint32_t id, const SegInfo& info) const;
+  // The per-commit cleaning trigger: the footprint to clean toward, or 0
+  // when no cleaning is owed (live views pause cleaning).
+  uint64_t CleanTargetLocked();
   Status MaybeCleanLocked();
-  // Lowest-live data-only segments behind the scan position; stops when
-  // projected size reaches `target` (0 = no target) or `max_segments`.
+  // The cleaning body behind Clean and MaybeCleanLocked: cleans up to
+  // `max_segments` victims toward `target` (0 = no target), unlocking
+  // parked garbage with a checkpoint first when no segment qualifies.
+  Status CleanLocked(uint64_t target, int max_segments);
+  // Lowest-live cleanable segments; stops when projected size reaches
+  // `target` (0 = no target) or `max_segments`.
   std::vector<uint32_t> CleanCandidates(uint64_t target, int max_segments);
   // Checkpoints iff that would unlock >= one segment of parked garbage.
   // Also marks live map nodes in low-yield segments dirty first, so the
@@ -776,6 +800,7 @@ class ChunkStore : public ChunkStoreInterface {
   crypto::CipherSuite suite_;
   AnchorManager anchor_mgr_;
   LocationMap map_;
+  const NodeLoader loader_;  // Calls LoadNode.
 
   std::atomic<bool> open_{false};
   std::atomic<uint64_t> next_chunk_id_{1};
@@ -815,7 +840,7 @@ class ChunkStore : public ChunkStoreInterface {
   // Open commit group (group_commit mode): buffered ops awaiting the next
   // merged manifest, and the durable committers waiting on its flush.
   std::vector<PendingOp> group_ops_;
-  std::vector<std::shared_ptr<internal::CommitTicket>> group_tickets_;
+  Tickets group_tickets_;
   bool group_flushing_ = false;  // A leader's sync is in flight.
   std::condition_variable group_cv_;
 

@@ -80,8 +80,8 @@ struct CommitManifest {
 };
 
 /// `mac_size` frames prev_mac (the full keyed-MAC width); `entry_hash_size`
-/// frames per-write and root hashes (possibly truncated, see
-/// ChunkStoreOptions::map_hash_bytes).
+/// frames per-write and root hashes (truncated to the chunk store's
+/// kMapHashBytes).
 Buffer EncodeManifest(const CommitManifest& manifest, size_t mac_size,
                       size_t entry_hash_size);
 Status DecodeManifest(Slice data, size_t mac_size, size_t entry_hash_size,

@@ -746,19 +746,6 @@ Status ShardedChunkStore::Commit(const chunk::WriteBatch& batch,
   return WaitDurable(handle);
 }
 
-Status ShardedChunkStore::Write(chunk::ChunkId cid, Slice data,
-                                bool durable) {
-  chunk::WriteBatch batch;
-  batch.Write(cid, data);
-  return Commit(batch, durable);
-}
-
-Status ShardedChunkStore::Deallocate(chunk::ChunkId cid, bool durable) {
-  chunk::WriteBatch batch;
-  batch.Deallocate(cid);
-  return Commit(batch, durable);
-}
-
 // ---------------------------------------------------------------------------
 // Reads, views, maintenance
 

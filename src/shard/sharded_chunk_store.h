@@ -105,8 +105,6 @@ class ShardedChunkStore final : public chunk::ChunkStoreInterface {
   Result<chunk::CommitHandle> CommitBuffered(const chunk::WriteBatch& batch,
                                              bool durable) override;
   Status WaitDurable(chunk::CommitHandle& handle) override;
-  Status Write(chunk::ChunkId cid, Slice data, bool durable) override;
-  Status Deallocate(chunk::ChunkId cid, bool durable) override;
   Status Checkpoint() override;
   Status Clean(int max_segments) override;
   /// Scrubs every shard concurrently (one thread per shard); failures are

@@ -1123,41 +1123,75 @@ TEST(ChunkCacheTest, DisabledCacheCountsNothing) {
 
 // The parallel commit pipeline must be a pure performance change: the same
 // operations against the same secrets/IV seed produce byte-identical
-// untrusted-store images with 0 and 8 crypto threads.
+// untrusted-store images, and the same cleaner decisions, with 0 and 8
+// crypto threads. The workload covers 12-write batches with overwrites
+// and deallocations, mixed durability, explicit Clean and Checkpoint calls
+// and enough small segments for hundreds to be cleaned, in both commit
+// modes.
 TEST(ChunkPipelineTest, ParallelCommitImageBitIdenticalToSerial) {
-  auto run = [](int threads, MemUntrustedStore* store) {
+  auto run = [](int threads, bool group_commit, MemUntrustedStore* store) {
     MemSecretStore secrets;
     TDB_CHECK(secrets.Provision(Slice("test-master-secret")).ok());
     MemOneWayCounter counter;
     auto options = SmallSegments();
     options.crypto_threads = threads;
+    options.group_commit = group_commit;
     auto cs =
         std::move(ChunkStore::Open(store, &secrets, &counter, options))
             .value();
     Random rng(13);
-    WriteBatch batch;
-    for (int i = 0; i < 64; i++) {
-      Buffer data;
-      rng.Fill(&data, 64 + i);
-      batch.Write(cs->AllocateChunkId(), data);
+    std::vector<ChunkId> live;
+    for (int round = 1; round <= 500; round++) {
+      WriteBatch batch;
+      for (int i = 0; i < 12; i++) {
+        if (live.size() > 32 && rng.Uniform(6) == 0) {
+          const size_t k = rng.Uniform(live.size());
+          batch.Deallocate(live[k]);
+          live[k] = live.back();
+          live.pop_back();
+          continue;
+        }
+        ChunkId cid;
+        if (live.size() < 64 || rng.Uniform(4) == 0) {
+          cid = cs->AllocateChunkId();
+          live.push_back(cid);
+        } else {
+          cid = live[rng.Uniform(live.size())];  // May repeat in a batch.
+        }
+        Buffer data;
+        rng.Fill(&data, 64 + rng.Uniform(256));
+        batch.Write(cid, data);
+      }
+      TDB_CHECK(cs->Commit(batch, /*durable=*/rng.Uniform(3) != 0).ok());
+      if (round % 25 == 0) TDB_CHECK(cs->Clean(4).ok());
+      if (round % 100 == 0) TDB_CHECK(cs->Checkpoint().ok());
     }
-    TDB_CHECK(cs->Commit(batch, true).ok());
     TDB_CHECK(cs->Close().ok());
+    return cs->Stats();
   };
-  MemUntrustedStore serial_store, parallel_store;
-  run(0, &serial_store);
-  run(8, &parallel_store);
+  for (bool group_commit : {false, true}) {
+    SCOPED_TRACE(group_commit ? "group_commit" : "serialized");
+    MemUntrustedStore serial_store, parallel_store;
+    const ChunkStoreStats serial = run(0, group_commit, &serial_store);
+    const ChunkStoreStats parallel = run(8, group_commit, &parallel_store);
+    EXPECT_GT(parallel.parallel_sealed_bytes, 0u);
+    EXPECT_GE(serial.cleaned_segments, 200u);
+    EXPECT_EQ(serial.cleaned_segments, parallel.cleaned_segments);
+    EXPECT_EQ(serial.relocated_records, parallel.relocated_records);
+    EXPECT_EQ(serial.relocated_bytes, parallel.relocated_bytes);
+    EXPECT_EQ(serial.checkpoints, parallel.checkpoints);
 
-  auto files = serial_store.List();
-  auto parallel_files = parallel_store.List();
-  ASSERT_EQ(files, parallel_files);
-  for (const std::string& name : files) {
-    uint64_t size = *serial_store.Size(name);
-    ASSERT_EQ(size, *parallel_store.Size(name)) << name;
-    Buffer a, b;
-    ASSERT_TRUE(serial_store.Read(name, 0, size, &a).ok());
-    ASSERT_TRUE(parallel_store.Read(name, 0, size, &b).ok());
-    EXPECT_EQ(a, b) << "file " << name << " differs";
+    auto files = serial_store.List();
+    auto parallel_files = parallel_store.List();
+    ASSERT_EQ(files, parallel_files);
+    for (const std::string& name : files) {
+      uint64_t size = *serial_store.Size(name);
+      ASSERT_EQ(size, *parallel_store.Size(name)) << name;
+      Buffer a, b;
+      ASSERT_TRUE(serial_store.Read(name, 0, size, &a).ok());
+      ASSERT_TRUE(parallel_store.Read(name, 0, size, &b).ok());
+      EXPECT_EQ(a, b) << "file " << name << " differs";
+    }
   }
 }
 
