@@ -18,8 +18,9 @@ namespace {
 // Lexicographically sortable segment file names.
 constexpr char kSegmentPrefix[] = "seg-";
 
-// Commit batches below this many writes seal serially: the fan-out/join
-// overhead only pays for itself once several independent seals overlap.
+// Commit batches below this many writes seal inline on the committer (two
+// CBC chains at a time): the fan-out/join overhead only pays for itself
+// once several independent seals overlap on the pool.
 constexpr size_t kParallelSealMinWrites = 4;
 
 // VerifyIntegrity fans validation out in batches of this many chunks so
@@ -151,6 +152,8 @@ void ChunkStore::BindInstruments() {
   m_.cache_evictions[3] = r->GetCounter("chunk.cache.evictions.relocation");
   m_.cache_bytes_used = r->GetGauge("chunk.cache.bytes_used");
   m_.sealed_bytes = r->GetCounter("chunk.sealed_bytes");
+  m_.sealed_manifest_bytes = r->GetCounter("chunk.sealed_bytes.manifest");
+  m_.sealed_map_bytes = r->GetCounter("chunk.sealed_bytes.map");
   m_.parallel_sealed_bytes = r->GetCounter("chunk.parallel_sealed_bytes");
   m_.commit_groups = r->GetCounter("chunk.commit_groups");
   m_.grouped_commits = r->GetCounter("chunk.grouped_commits");
@@ -218,14 +221,17 @@ void ChunkStore::AtomicMax(std::atomic<uint64_t>& counter, uint64_t value) {
   }
 }
 
-Buffer ChunkStore::SealSerialIv(Slice plain) {
+Buffer ChunkStore::SealSerialIv(Slice plain, common::Counter* sealed_bytes) {
+  sealed_bytes->Add(static_cast<int64_t>(plain.size()));
   std::lock_guard<std::mutex> lock(iv_mu_);
   return suite_.Seal(plain);
 }
 
-Buffer ChunkStore::NextIvSerial() {
+std::vector<Buffer> ChunkStore::NextIvsSerial(size_t n) {
+  std::vector<Buffer> ivs(n);
   std::lock_guard<std::mutex> lock(iv_mu_);
-  return suite_.NextIv();
+  for (Buffer& iv : ivs) iv = suite_.NextIv();
+  return ivs;
 }
 
 size_t ChunkStore::entry_hash_size() const {
@@ -803,14 +809,17 @@ Status ChunkStore::PrepareBatch(const WriteBatch& batch, PreparedBatch* out) {
   }
 
   // Seal + hash the staged writes — on the committer's own thread, outside
-  // the commit mutex, so concurrent committers overlap their crypto. Each
-  // write is independent; with a pool available and enough writes the
-  // CPU-bound work additionally fans out across the workers. IVs are drawn
-  // serially (the cipher suite's DRBG is the only serialized step), which
-  // keeps single-threaded sealing bit-identical to the serial path.
-  out->writes.resize(write_ops.size());
-  out->plains.resize(write_ops.size());
-  for (size_t i = 0; i < write_ops.size(); i++) {
+  // the commit mutex, so concurrent committers overlap their crypto. The
+  // IVs are drawn first, in write order, under iv_mu_ (the cipher suite's
+  // DRBG is the only serialized step); sealing runs after that lock is
+  // released, so the image is bit-identical however the sealing is spread.
+  // With a pool and enough writes, each write seals on a worker; otherwise
+  // the batch seals inline through SealWithIvs, two CBC chains at a time.
+  const size_t n = write_ops.size();
+  out->writes.resize(n);
+  out->plains.resize(n);
+  for (size_t i = 0; i < n; i++) {
+    out->writes[i].cid = write_ops[i]->cid;
     out->plains[i] = &write_ops[i]->data;
   }
   common::TraceSpan span("chunk.seal");
@@ -832,13 +841,10 @@ Status ChunkStore::PrepareBatch(const WriteBatch& batch, PreparedBatch* out) {
     m_.compress_bytes_out->Add(static_cast<int64_t>(scratch->size()));
     return *scratch;
   };
+  const std::vector<Buffer> ivs = NextIvsSerial(n);
   ThreadPool* pool = CryptoPool();
-  if (pool != nullptr && suite_.enabled() &&
-      write_ops.size() >= kParallelSealMinWrites) {
-    std::vector<Buffer> ivs(write_ops.size());
-    for (size_t i = 0; i < write_ops.size(); i++) ivs[i] = NextIvSerial();
-    pool->ParallelFor(write_ops.size(), [&](size_t i) {
-      out->writes[i].cid = write_ops[i]->cid;
+  if (pool != nullptr && suite_.enabled() && n >= kParallelSealMinWrites) {
+    pool->ParallelFor(n, [&](size_t i) {
       Buffer scratch;
       out->writes[i].sealed = suite_.SealWithIv(plain_for(i, &scratch), ivs[i]);
       out->writes[i].hash = EntryHash(out->writes[i].sealed);
@@ -847,10 +853,12 @@ Status ChunkStore::PrepareBatch(const WriteBatch& batch, PreparedBatch* out) {
       m_.parallel_sealed_bytes->Add(static_cast<int64_t>(op->data.size()));
     }
   } else {
-    for (size_t i = 0; i < write_ops.size(); i++) {
-      out->writes[i].cid = write_ops[i]->cid;
-      Buffer scratch;
-      out->writes[i].sealed = SealSerialIv(plain_for(i, &scratch));
+    std::vector<Buffer> scratch(n);
+    std::vector<Slice> plains(n);
+    for (size_t i = 0; i < n; i++) plains[i] = plain_for(i, &scratch[i]);
+    std::vector<Buffer> sealed = suite_.SealWithIvs(plains, ivs);
+    for (size_t i = 0; i < n; i++) {
+      out->writes[i].sealed = std::move(sealed[i]);
       out->writes[i].hash = EntryHash(out->writes[i].sealed);
     }
   }
@@ -988,7 +996,7 @@ Result<ChunkStore::SealResult> ChunkStore::SealGroupLocked(
 
   Buffer encoded =
       EncodeManifest(manifest, suite_.hash_size(), entry_hash_size());
-  Buffer sealed_manifest = SealSerialIv(encoded);
+  Buffer sealed_manifest = SealSerialIv(encoded, m_.sealed_manifest_bytes);
   crypto::Digest mac = suite_.Mac(sealed_manifest);
   Buffer commit_payload = sealed_manifest;
   PutDigest(&commit_payload, mac);
@@ -1323,7 +1331,7 @@ Status ChunkStore::Checkpoint() {
 
 Status ChunkStore::CheckpointLocked() {
   NodeWriter writer = [this](Slice bytes) -> Result<NodeWriteResult> {
-    Buffer sealed = SealSerialIv(bytes);
+    Buffer sealed = SealSerialIv(bytes, m_.sealed_map_bytes);
     TDB_ASSIGN_OR_RETURN(Location loc, Append(RecordType::kMapNode, sealed));
     NodeWriteResult res;
     res.loc = loc;
@@ -1386,6 +1394,8 @@ ChunkStoreStats ChunkStore::Stats() const {
   s.cache_evictions_relocation = evictions.relocation;
   s.cache_bytes_used = cache_.size_bytes();
   s.sealed_bytes = u(m_.sealed_bytes->value());
+  s.sealed_manifest_bytes = u(m_.sealed_manifest_bytes->value());
+  s.sealed_map_bytes = u(m_.sealed_map_bytes->value());
   s.parallel_sealed_bytes = u(m_.parallel_sealed_bytes->value());
   s.commit_groups = u(m_.commit_groups->value());
   s.grouped_commits = u(m_.grouped_commits->value());

@@ -178,6 +178,8 @@ struct ChunkStoreStats {
   // Commit-path crypto pipeline.
   uint64_t sealed_bytes = 0;           // Plaintext bytes sealed by commits.
   uint64_t parallel_sealed_bytes = 0;  // Subset sealed via the worker pool.
+  uint64_t sealed_manifest_bytes = 0;  // Commit manifest plaintext sealed.
+  uint64_t sealed_map_bytes = 0;       // Checkpoint map-node plaintext sealed.
   // Group commit (only moves when options.group_commit is true, except
   // log_syncs / counter_bumps which count in both modes).
   uint64_t commit_groups = 0;          // Durable group flushes led.
@@ -541,6 +543,8 @@ class ChunkStore : public ChunkStoreInterface {
     common::Counter* cache_evictions[4] = {};  // Indexed by EvictCause.
     common::Gauge* cache_bytes_used = nullptr;
     common::Counter* sealed_bytes = nullptr;
+    common::Counter* sealed_manifest_bytes = nullptr;
+    common::Counter* sealed_map_bytes = nullptr;
     common::Counter* parallel_sealed_bytes = nullptr;
     common::Counter* commit_groups = nullptr;
     common::Counter* grouped_commits = nullptr;
@@ -777,10 +781,13 @@ class ChunkStore : public ChunkStoreInterface {
   crypto::Digest EntryHash(Slice sealed) const;
   size_t entry_hash_size() const;
 
-  // Seals with a serially-drawn IV; the only mutating cipher-suite calls,
-  // serialized by iv_mu_ so concurrent committers can seal in parallel.
-  Buffer SealSerialIv(Slice plain);
-  Buffer NextIvSerial();
+  // The only mutating cipher-suite calls, serialized by iv_mu_ so that
+  // concurrent committers can seal in parallel. SealSerialIv draws one IV
+  // and seals under the lock (manifests and map nodes), counting the
+  // plaintext into `sealed_bytes`; NextIvsSerial draws the IVs for `n`
+  // writes in order, to be sealed after the lock is released.
+  Buffer SealSerialIv(Slice plain, common::Counter* sealed_bytes);
+  std::vector<Buffer> NextIvsSerial(size_t n);
 
   // Worker pool for the commit/verify crypto pipeline; created on first
   // use (thread-safely), nullptr when options_.crypto_threads <= 1.

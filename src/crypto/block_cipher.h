@@ -18,6 +18,14 @@ enum class CipherKind : uint8_t {
   kAes128 = 2,
 };
 
+/// One CBC encryption chain for BlockCipher::CbcEncryptBlocks2: blocks
+/// read from `in`, chained from `iv`, written to `out`.
+struct CbcChain {
+  const uint8_t* iv;
+  const uint8_t* in;
+  uint8_t* out;
+};
+
 /// A raw block cipher: encrypts/decrypts exactly block_size() bytes.
 /// Chaining and padding are layered on top in cbc.h.
 class BlockCipher {
@@ -29,12 +37,13 @@ class BlockCipher {
   virtual void EncryptBlock(const uint8_t* in, uint8_t* out) const = 0;
   virtual void DecryptBlock(const uint8_t* in, uint8_t* out) const = 0;
 
-  /// Optional whole-buffer CBC fast paths. A cipher with a hardware
-  /// batch kernel processes all `n_blocks` blocks (chaining from `iv`,
-  /// PKCS#7 handled by the caller) and returns true; the default returns
-  /// false and the caller falls back to the per-block virtual loop.
-  /// `in` and `out` must not alias. Implementations must be bit-identical
-  /// to the per-block path.
+  /// Optional whole-buffer CBC fast paths. A cipher with a batch kernel
+  /// processes all `n_blocks` blocks (chaining from `iv`, PKCS#7 handled
+  /// by the caller) and returns true; the default returns false and the
+  /// caller falls back to the per-block virtual loop. Encryption may run
+  /// in place (`in == out`); otherwise, and always for decryption, `in`
+  /// and `out` must not overlap. Implementations must be bit-identical to
+  /// the per-block path.
   virtual bool CbcEncryptBlocks(const uint8_t* iv, const uint8_t* in,
                                 size_t n_blocks, uint8_t* out) const {
     (void)iv, (void)in, (void)n_blocks, (void)out;
@@ -43,6 +52,17 @@ class BlockCipher {
   virtual bool CbcDecryptBlocks(const uint8_t* iv, const uint8_t* in,
                                 size_t n_blocks, uint8_t* out) const {
     (void)iv, (void)in, (void)n_blocks, (void)out;
+    return false;
+  }
+
+  /// Optional two-chain CBC encryption: advances two independent chains by
+  /// `n_blocks` blocks each, interleaved so that one chain's block latency
+  /// hides the other's. Same aliasing rules per chain as CbcEncryptBlocks;
+  /// the two chains must not overlap each other. Returns false when the
+  /// cipher has no such kernel.
+  virtual bool CbcEncryptBlocks2(const CbcChain& a, const CbcChain& b,
+                                 size_t n_blocks) const {
+    (void)a, (void)b, (void)n_blocks;
     return false;
   }
 };

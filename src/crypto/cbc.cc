@@ -11,28 +11,33 @@ size_t CbcCiphertextSize(const BlockCipher& cipher, size_t plain_size) {
   return (plain_size / block + 1) * block;  // PKCS#7 always adds >= 1 byte.
 }
 
+void AppendPadded(const BlockCipher& cipher, Slice plain, Buffer* out) {
+  const size_t block = cipher.block_size();
+  const size_t pad = block - (plain.size() % block);
+  out->insert(out->end(), plain.data(), plain.data() + plain.size());
+  out->insert(out->end(), pad, static_cast<uint8_t>(pad));
+}
+
+void CbcEncryptInPlace(const BlockCipher& cipher, const uint8_t* iv,
+                       uint8_t* data, size_t n_blocks) {
+  if (cipher.CbcEncryptBlocks(iv, data, n_blocks, data)) return;
+  const size_t block = cipher.block_size();
+  const uint8_t* chain = iv;
+  for (size_t off = 0; off < n_blocks * block; off += block) {
+    uint8_t x[32];
+    for (size_t i = 0; i < block; i++) x[i] = data[off + i] ^ chain[i];
+    cipher.EncryptBlock(x, data + off);
+    chain = data + off;
+  }
+}
+
 Buffer CbcEncrypt(const BlockCipher& cipher, Slice iv, Slice plain) {
   const size_t block = cipher.block_size();
   TDB_CHECK(iv.size() == block, "IV must be one cipher block");
-
-  // PKCS#7 pad.
-  size_t pad = block - (plain.size() % block);
-  Buffer padded = plain.ToBuffer();
-  padded.insert(padded.end(), pad, static_cast<uint8_t>(pad));
-
-  Buffer out(padded.size());
-  if (cipher.CbcEncryptBlocks(iv.data(), padded.data(), padded.size() / block,
-                              out.data())) {
-    return out;
-  }
-  uint8_t chain[32];
-  std::memcpy(chain, iv.data(), block);
-  for (size_t off = 0; off < padded.size(); off += block) {
-    uint8_t x[32];
-    for (size_t i = 0; i < block; i++) x[i] = padded[off + i] ^ chain[i];
-    cipher.EncryptBlock(x, out.data() + off);
-    std::memcpy(chain, out.data() + off, block);
-  }
+  Buffer out;
+  out.reserve(CbcCiphertextSize(cipher, plain.size()));
+  AppendPadded(cipher, plain, &out);
+  CbcEncryptInPlace(cipher, iv.data(), out.data(), out.size() / block);
   return out;
 }
 

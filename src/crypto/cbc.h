@@ -16,6 +16,15 @@ namespace tdb::crypto {
 /// next whole block, IV not included).
 size_t CbcCiphertextSize(const BlockCipher& cipher, size_t plain_size);
 
+/// Appends `plain` and its PKCS#7 padding to `out`, leaving `out` ready for
+/// CbcEncryptInPlace over the appended CbcCiphertextSize bytes.
+void AppendPadded(const BlockCipher& cipher, Slice plain, Buffer* out);
+
+/// CBC-encrypts the `n_blocks` whole blocks at `data` in place, chaining
+/// from `iv` (one block). Uses the cipher's batch hook when it has one.
+void CbcEncryptInPlace(const BlockCipher& cipher, const uint8_t* iv,
+                       uint8_t* data, size_t n_blocks);
+
 /// Encrypts `plain` under `iv` (must be one block). Output = padded
 /// ciphertext; the caller stores the IV alongside.
 Buffer CbcEncrypt(const BlockCipher& cipher, Slice iv, Slice plain);

@@ -1,5 +1,6 @@
 #include "crypto/cipher_suite.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/check.h"
@@ -69,15 +70,78 @@ Buffer CipherSuite::NextIv() {
   return iv_gen_->Generate(cipher_->block_size());
 }
 
-Buffer CipherSuite::SealWithIv(Slice plain, Slice iv) const {
-  if (!config_.enabled || cipher_ == nullptr) return plain.ToBuffer();
+Buffer CipherSuite::LayOut(Slice plain, Slice iv) const {
   TDB_CHECK(iv.size() == cipher_->block_size(),
             "IV must be exactly one cipher block");
-  Buffer cipher_text = CbcEncrypt(*cipher_, iv, plain);
   Buffer out;
-  out.reserve(iv.size() + cipher_text.size());
+  out.reserve(SealedSize(plain.size()));
   out.insert(out.end(), iv.data(), iv.data() + iv.size());
-  out.insert(out.end(), cipher_text.begin(), cipher_text.end());
+  AppendPadded(*cipher_, plain, &out);
+  return out;
+}
+
+Buffer CipherSuite::SealWithIv(Slice plain, Slice iv) const {
+  if (!config_.enabled || cipher_ == nullptr) return plain.ToBuffer();
+  Buffer out = LayOut(plain, iv);
+  const size_t block = cipher_->block_size();
+  CbcEncryptInPlace(*cipher_, out.data(), out.data() + block,
+                    out.size() / block - 1);
+  return out;
+}
+
+std::vector<Buffer> CipherSuite::SealWithIvs(
+    const std::vector<Slice>& plains, const std::vector<Buffer>& ivs) const {
+  TDB_CHECK(plains.size() == ivs.size(), "one IV per plaintext");
+  std::vector<Buffer> out;
+  out.reserve(plains.size());
+  if (!config_.enabled || cipher_ == nullptr) {
+    for (Slice plain : plains) out.push_back(plain.ToBuffer());
+    return out;
+  }
+  for (size_t i = 0; i < plains.size(); i++) {
+    out.push_back(LayOut(plains[i], ivs[i]));
+  }
+  // Two lanes, each a CBC chain working through one laid-out output behind
+  // its IV. Both advance together through CbcEncryptBlocks2 by the blocks
+  // the shorter one has left; a lane that finishes takes the next output,
+  // so both stay busy until the last one. The chaining value of a lane is
+  // always the block just before its position: the IV first, then the
+  // ciphertext block it wrote last.
+  const size_t block = cipher_->block_size();
+  struct Lane {
+    uint8_t* data = nullptr;
+    size_t blocks = 0;
+  };
+  size_t next = 0;
+  auto take = [&](Lane* lane) {
+    if (next == out.size()) return false;
+    Buffer& sealed = out[next++];
+    *lane = {sealed.data() + block, sealed.size() / block - 1};
+    return true;
+  };
+  Lane a, b;
+  bool has_a = take(&a), has_b = take(&b);
+  while (has_a && has_b) {
+    const size_t n = std::min(a.blocks, b.blocks);
+    if (!cipher_->CbcEncryptBlocks2({a.data - block, a.data, a.data},
+                                    {b.data - block, b.data, b.data}, n)) {
+      break;  // No two-chain kernel: everything below runs one at a time.
+    }
+    for (Lane* lane : {&a, &b}) {
+      lane->data += n * block;
+      lane->blocks -= n;
+    }
+    if (a.blocks == 0) has_a = take(&a);
+    if (b.blocks == 0) has_b = take(&b);
+  }
+  // What is left (the last output's tail, or every output when the cipher
+  // has no two-chain kernel) runs one chain at a time.
+  auto finish = [&](const Lane& lane) {
+    CbcEncryptInPlace(*cipher_, lane.data - block, lane.data, lane.blocks);
+  };
+  if (has_a) finish(a);
+  if (has_b) finish(b);
+  while (take(&a)) finish(a);
   return out;
 }
 

@@ -1,31 +1,18 @@
 #include "crypto/des.h"
 
+#include <algorithm>
+#include <bit>
+#include <utility>
+
 #include "common/check.h"
-#include "common/coding.h"
 
 namespace tdb::crypto {
 
 namespace {
 
 // FIPS 46-3 tables. Entries are 1-based bit positions counted from the MSB,
-// as in the standard.
-
-constexpr uint8_t kIp[64] = {
-    58, 50, 42, 34, 26, 18, 10, 2, 60, 52, 44, 36, 28, 20, 12, 4,
-    62, 54, 46, 38, 30, 22, 14, 6, 64, 56, 48, 40, 32, 24, 16, 8,
-    57, 49, 41, 33, 25, 17, 9,  1, 59, 51, 43, 35, 27, 19, 11, 3,
-    61, 53, 45, 37, 29, 21, 13, 5, 63, 55, 47, 39, 31, 23, 15, 7};
-
-constexpr uint8_t kFp[64] = {
-    40, 8, 48, 16, 56, 24, 64, 32, 39, 7, 47, 15, 55, 23, 63, 31,
-    38, 6, 46, 14, 54, 22, 62, 30, 37, 5, 45, 13, 53, 21, 61, 29,
-    36, 4, 44, 12, 52, 20, 60, 28, 35, 3, 43, 11, 51, 19, 59, 27,
-    34, 2, 42, 10, 50, 18, 58, 26, 33, 1, 41, 9,  49, 17, 57, 25};
-
-constexpr uint8_t kExpansion[48] = {
-    32, 1,  2,  3,  4,  5,  4,  5,  6,  7,  8,  9,  8,  9,  10, 11,
-    12, 13, 12, 13, 14, 15, 16, 17, 16, 17, 18, 19, 20, 21, 20, 21,
-    22, 23, 24, 25, 24, 25, 26, 27, 28, 29, 28, 29, 30, 31, 32, 1};
+// as in the standard. IP, FP and the E expansion have no table: IP and FP
+// are bit-group swaps and E is a rotation (see the round function below).
 
 constexpr uint8_t kPbox[32] = {16, 7,  20, 21, 29, 12, 28, 17, 1,  15, 23,
                                26, 5,  18, 31, 10, 2,  8,  24, 14, 32, 27,
@@ -81,8 +68,8 @@ constexpr uint8_t kSbox[8][64] = {
 
 // Applies a bit permutation: bit i (1-based from MSB of an `in_bits`-wide
 // value) of the result comes from position table[i] of the input.
-uint64_t Permute(uint64_t in, int in_bits, const uint8_t* table,
-                 int out_bits) {
+constexpr uint64_t Permute(uint64_t in, int in_bits, const uint8_t* table,
+                           int out_bits) {
   uint64_t out = 0;
   for (int i = 0; i < out_bits; i++) {
     out <<= 1;
@@ -91,103 +78,149 @@ uint64_t Permute(uint64_t in, int in_bits, const uint8_t* table,
   return out;
 }
 
-// --- Precomputed fast paths ------------------------------------------
-// SP tables fuse each S-box with the P permutation: SP[box][six-bit input]
-// is the P-permuted 32-bit contribution. The expansion E is computed with
-// shifts from a 34-bit wrapped copy of R. The initial and final
-// permutations use per-input-byte lookup tables. Together these replace
-// the bit-at-a-time loops in the hot path (~15-20x faster), which matters
-// because TDB-S encrypts every chunk with 3DES.
+// --- The round function ------------------------------------------------
+// The E expansion feeds S-box b (0-based) the six bits of R starting at
+// FIPS bit 4b, cyclically. With R held rotated right by 3 (`y` below),
+// S-boxes 1, 3, 5 and 7 read their groups from the four bytes of y, and
+// S-boxes 2, 4, 6 and 8 from the four bytes of y rotated left by 4. The
+// round keys are pre-positioned to match (DesRoundKey), and the SP tables
+// fuse each S-box with the P permutation and the same rotation, so a round
+// is two XORs, one rotate and eight lookups. Halves stay rotated for all
+// rounds; the rotation is applied after IP and undone before FP.
+
+constexpr int kRot = 3;
 
 struct SpTables {
   uint32_t sp[8][64];
 };
 
-const SpTables& GetSpTables() {
-  static const SpTables tables = [] {
-    SpTables t{};
-    for (int box = 0; box < 8; box++) {
-      for (int six = 0; six < 64; six++) {
-        int row = ((six & 0x20) >> 4) | (six & 1);
-        int col = (six >> 1) & 0xf;
-        uint32_t s_out = kSbox[box][row * 16 + col];
-        // Place at the box's nibble (MSB-first), then apply P.
-        uint32_t pre_p = s_out << (28 - 4 * box);
-        t.sp[box][six] = static_cast<uint32_t>(Permute(pre_p, 32, kPbox, 32));
-      }
+constexpr SpTables BuildSpTables() {
+  SpTables t{};
+  for (int box = 0; box < 8; box++) {
+    for (int six = 0; six < 64; six++) {
+      int row = ((six & 0x20) >> 4) | (six & 1);
+      int col = (six >> 1) & 0xf;
+      uint32_t s_out = kSbox[box][row * 16 + col];
+      // Place at the box's nibble (MSB-first), then apply P.
+      uint32_t pre_p = s_out << (28 - 4 * box);
+      t.sp[box][six] = std::rotr(
+          static_cast<uint32_t>(Permute(pre_p, 32, kPbox, 32)), kRot);
     }
-    return t;
-  }();
-  return tables;
+  }
+  return t;
 }
 
-struct ByteP64 {
-  uint64_t table[8][256];
+constexpr SpTables kSp = BuildSpTables();
+
+// x ^= f(y, k) on rotated halves.
+inline void Round(uint32_t& x, uint32_t y, const DesRoundKey& k) {
+  const uint32_t u = y ^ k.s1357;
+  const uint32_t t = std::rotl(y, 4) ^ k.s2468;
+  x ^= kSp.sp[0][(u >> 24) & 0x3f] ^ kSp.sp[2][(u >> 16) & 0x3f] ^
+       kSp.sp[4][(u >> 8) & 0x3f] ^ kSp.sp[6][u & 0x3f] ^
+       kSp.sp[1][(t >> 24) & 0x3f] ^ kSp.sp[3][(t >> 16) & 0x3f] ^
+       kSp.sp[5][(t >> 8) & 0x3f] ^ kSp.sp[7][t & 0x3f];
+}
+
+// IP and FP as five swaps of bit groups between the halves (each swap is
+// an involution, so FP is the same swaps in reverse order).
+inline void SwapBits(uint32_t& a, uint32_t& b, int shift, uint32_t mask) {
+  const uint32_t t = ((a >> shift) ^ b) & mask;
+  b ^= t;
+  a ^= t << shift;
+}
+
+inline void InitialPermutation(uint32_t& l, uint32_t& r) {
+  SwapBits(l, r, 4, 0x0f0f0f0f);
+  SwapBits(l, r, 16, 0x0000ffff);
+  SwapBits(r, l, 2, 0x33333333);
+  SwapBits(r, l, 8, 0x00ff00ff);
+  SwapBits(l, r, 1, 0x55555555);
+}
+
+inline void FinalPermutation(uint32_t& l, uint32_t& r) {
+  SwapBits(l, r, 1, 0x55555555);
+  SwapBits(r, l, 8, 0x00ff00ff);
+  SwapBits(r, l, 2, 0x33333333);
+  SwapBits(l, r, 16, 0x0000ffff);
+  SwapBits(l, r, 4, 0x0f0f0f0f);
+}
+
+inline uint32_t LoadBe32(const uint8_t* p) {
+  return (static_cast<uint32_t>(p[0]) << 24) |
+         (static_cast<uint32_t>(p[1]) << 16) |
+         (static_cast<uint32_t>(p[2]) << 8) | p[3];
+}
+
+inline void StoreBe32(uint32_t v, uint8_t* p) {
+  p[0] = static_cast<uint8_t>(v >> 24);
+  p[1] = static_cast<uint8_t>(v >> 16);
+  p[2] = static_cast<uint8_t>(v >> 8);
+  p[3] = static_cast<uint8_t>(v);
+}
+
+// A block as its two big-endian 32-bit halves.
+struct Block {
+  uint32_t hi, lo;
 };
 
-ByteP64 BuildByteP64(const uint8_t* perm) {
-  ByteP64 result{};
-  for (int byte_idx = 0; byte_idx < 8; byte_idx++) {
-    for (int value = 0; value < 256; value++) {
-      uint64_t in = static_cast<uint64_t>(value) << (56 - 8 * byte_idx);
-      result.table[byte_idx][value] = Permute(in, 64, perm, 64);
+inline Block Load(const uint8_t* p) { return {LoadBe32(p), LoadBe32(p + 4)}; }
+
+inline void Store(Block b, uint8_t* p) {
+  StoreBe32(b.hi, p);
+  StoreBe32(b.lo, p + 4);
+}
+
+inline Block Xor(Block a, Block b) { return {a.hi ^ b.hi, a.lo ^ b.lo}; }
+
+// Runs kLanes independent blocks through kPasses chained DES passes of 16
+// rounds each (1 for DES, 3 for EDE), round keys `ks[16 * kPasses]`, with
+// one IP before and one FP after. Between passes FP and IP cancel and only
+// the halves swap. The lanes share nothing, so their rounds interleave and
+// one lane's lookups overlap the other's.
+template <int kPasses, int kLanes>
+inline void Crypt(const DesRoundKey* ks, Block* blocks) {
+  uint32_t l[kLanes], r[kLanes];
+  for (int j = 0; j < kLanes; j++) {
+    l[j] = blocks[j].hi;
+    r[j] = blocks[j].lo;
+    InitialPermutation(l[j], r[j]);
+    l[j] = std::rotr(l[j], kRot);
+    r[j] = std::rotr(r[j], kRot);
+  }
+  for (int pass = 0; pass < kPasses; pass++) {
+    if (pass > 0) {
+      for (int j = 0; j < kLanes; j++) std::swap(l[j], r[j]);
     }
+    for (int i = 0; i < 16; i += 2) {
+      for (int j = 0; j < kLanes; j++) Round(l[j], r[j], ks[i]);
+      for (int j = 0; j < kLanes; j++) Round(r[j], l[j], ks[i + 1]);
+    }
+    ks += 16;
   }
-  return result;
-}
-
-const ByteP64& GetIpTable() {
-  static const ByteP64 table = BuildByteP64(kIp);
-  return table;
-}
-
-const ByteP64& GetFpTable() {
-  static const ByteP64 table = BuildByteP64(kFp);
-  return table;
-}
-
-inline uint64_t ApplyByteP64(const ByteP64& p, uint64_t in) {
-  uint64_t out = 0;
-  for (int i = 0; i < 8; i++) {
-    out |= p.table[i][(in >> (56 - 8 * i)) & 0xff];
+  // Preoutput is (R16, L16).
+  for (int j = 0; j < kLanes; j++) {
+    uint32_t hi = std::rotl(r[j], kRot), lo = std::rotl(l[j], kRot);
+    FinalPermutation(hi, lo);
+    blocks[j] = {hi, lo};
   }
-  return out;
 }
 
-inline uint32_t Feistel(uint32_t half, uint64_t subkey) {
-  const SpTables& sp = GetSpTables();
-  // 34-bit wrap of R: R32 | R1..R32 | R1 — each six-bit E group is then a
-  // plain shift.
-  uint64_t ext = (static_cast<uint64_t>(half & 1) << 33) |
-                 (static_cast<uint64_t>(half) << 1) | (half >> 31);
-  uint32_t out = 0;
-  for (int box = 0; box < 8; box++) {
-    uint32_t six = static_cast<uint32_t>(
-        ((ext >> (28 - 4 * box)) ^ (subkey >> (42 - 6 * box))) & 0x3f);
-    out |= sp.sp[box][six];
-  }
-  return out;
-}
-
-uint64_t LoadBe64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; i++) v = (v << 8) | p[i];
-  return v;
-}
-
-void StoreBe64(uint64_t v, uint8_t* p) {
-  for (int i = 0; i < 8; i++) p[i] = static_cast<uint8_t>(v >> (56 - 8 * i));
+template <int kPasses>
+inline void CryptBytes(const DesRoundKey* ks, const uint8_t* in,
+                       uint8_t* out) {
+  Block b = Load(in);
+  Crypt<kPasses, 1>(ks, &b);
+  Store(b, out);
 }
 
 uint32_t Rotl28(uint32_t v, int n) {
   return ((v << n) | (v >> (28 - n))) & 0x0fffffff;
 }
 
-}  // namespace
-
-Des::Des(Slice key) {
-  TDB_CHECK(key.size() == kKeySize, "DES key must be 8 bytes");
-  uint64_t k = LoadBe64(key.data());
+// FIPS 46-3 key schedule, each subkey pre-positioned as a DesRoundKey.
+void ExpandKey(const uint8_t* key, DesRoundKey out[16]) {
+  uint64_t k = (static_cast<uint64_t>(LoadBe32(key)) << 32) | LoadBe32(key + 4);
   uint64_t cd = Permute(k, 64, kPc1, 56);
   uint32_t c = static_cast<uint32_t>(cd >> 28);
   uint32_t d = static_cast<uint32_t>(cd & 0x0fffffff);
@@ -195,59 +228,97 @@ Des::Des(Slice key) {
     c = Rotl28(c, kShifts[round]);
     d = Rotl28(d, kShifts[round]);
     uint64_t merged = (static_cast<uint64_t>(c) << 28) | d;
-    subkeys_[round] = Permute(merged, 56, kPc2, 48);
+    uint64_t subkey = Permute(merged, 56, kPc2, 48);
+    DesRoundKey& rk = out[round];
+    for (int box = 0; box < 8; box++) {
+      uint32_t six = static_cast<uint32_t>((subkey >> (42 - 6 * box)) & 0x3f);
+      uint32_t& word = box % 2 == 0 ? rk.s1357 : rk.s2468;
+      word |= six << (24 - 8 * (box / 2));
+    }
   }
 }
 
-uint64_t Des::Crypt(uint64_t block, bool decrypt) const {
-  uint64_t permuted = ApplyByteP64(GetIpTable(), block);
-  uint32_t left = static_cast<uint32_t>(permuted >> 32);
-  uint32_t right = static_cast<uint32_t>(permuted);
-  for (int round = 0; round < 16; round++) {
-    uint64_t subkey = subkeys_[decrypt ? 15 - round : round];
-    uint32_t next_right = left ^ Feistel(right, subkey);
-    left = right;
-    right = next_right;
-  }
-  // Note the final swap: (R16, L16).
-  uint64_t preout = (static_cast<uint64_t>(right) << 32) | left;
-  return ApplyByteP64(GetFpTable(), preout);
-}
-
-void Des::EncryptBlock(const uint8_t* in, uint8_t* out) const {
-  StoreBe64(Crypt(LoadBe64(in), /*decrypt=*/false), out);
-}
-
-void Des::DecryptBlock(const uint8_t* in, uint8_t* out) const {
-  StoreBe64(Crypt(LoadBe64(in), /*decrypt=*/true), out);
-}
-
-namespace {
-
-// Extracts the i-th single-DES key, validating the composite key length
-// before any byte is touched.
-Slice SubKey(Slice key, int i) {
-  TDB_CHECK(key.size() == TripleDes::kKeySize, "3DES key must be 24 bytes");
-  return Slice(key.data() + 8 * i, 8);
+void Reverse(const DesRoundKey* in, size_t n, DesRoundKey* out) {
+  for (size_t i = 0; i < n; i++) out[i] = in[n - 1 - i];
 }
 
 }  // namespace
 
-TripleDes::TripleDes(Slice key)
-    : k1_(SubKey(key, 0)), k2_(SubKey(key, 1)), k3_(SubKey(key, 2)) {}
+Des::Des(Slice key) {
+  TDB_CHECK(key.size() == kKeySize, "DES key must be 8 bytes");
+  ExpandKey(key.data(), enc_);
+  Reverse(enc_, 16, dec_);
+}
+
+void Des::EncryptBlock(const uint8_t* in, uint8_t* out) const {
+  CryptBytes<1>(enc_, in, out);
+}
+
+void Des::DecryptBlock(const uint8_t* in, uint8_t* out) const {
+  CryptBytes<1>(dec_, in, out);
+}
+
+TripleDes::TripleDes(Slice key) {
+  TDB_CHECK(key.size() == kKeySize, "3DES key must be 24 bytes");
+  DesRoundKey k[3][16];
+  for (int i = 0; i < 3; i++) ExpandKey(key.data() + 8 * i, k[i]);
+  // EDE: encrypt under k1, decrypt under k2, encrypt under k3.
+  std::copy(k[0], k[0] + 16, enc_);
+  Reverse(k[1], 16, enc_ + 16);
+  std::copy(k[2], k[2] + 16, enc_ + 32);
+  Reverse(enc_, 48, dec_);
+}
 
 void TripleDes::EncryptBlock(const uint8_t* in, uint8_t* out) const {
-  uint8_t tmp[kBlockSize];
-  k1_.EncryptBlock(in, tmp);
-  k2_.DecryptBlock(tmp, out);
-  k3_.EncryptBlock(out, out);
+  CryptBytes<3>(enc_, in, out);
 }
 
 void TripleDes::DecryptBlock(const uint8_t* in, uint8_t* out) const {
-  uint8_t tmp[kBlockSize];
-  k3_.DecryptBlock(in, tmp);
-  k2_.EncryptBlock(tmp, out);
-  k1_.DecryptBlock(out, out);
+  CryptBytes<3>(dec_, in, out);
+}
+
+bool TripleDes::CbcEncryptBlocks(const uint8_t* iv, const uint8_t* in,
+                                 size_t n_blocks, uint8_t* out) const {
+  Block chain = Load(iv);
+  for (size_t i = 0; i < n_blocks; i++) {
+    chain = Xor(Load(in + 8 * i), chain);
+    Crypt<3, 1>(enc_, &chain);
+    Store(chain, out + 8 * i);
+  }
+  return true;
+}
+
+bool TripleDes::CbcEncryptBlocks2(const CbcChain& a, const CbcChain& b,
+                                  size_t n_blocks) const {
+  Block chain[2] = {Load(a.iv), Load(b.iv)};
+  for (size_t i = 0; i < n_blocks; i++) {
+    chain[0] = Xor(Load(a.in + 8 * i), chain[0]);
+    chain[1] = Xor(Load(b.in + 8 * i), chain[1]);
+    Crypt<3, 2>(enc_, chain);
+    Store(chain[0], a.out + 8 * i);
+    Store(chain[1], b.out + 8 * i);
+  }
+  return true;
+}
+
+bool TripleDes::CbcDecryptBlocks(const uint8_t* iv, const uint8_t* in,
+                                 size_t n_blocks, uint8_t* out) const {
+  Block prev = Load(iv);
+  size_t i = 0;
+  for (; i + 2 <= n_blocks; i += 2) {
+    Block c[2] = {Load(in + 8 * i), Load(in + 8 * i + 8)};
+    Block p[2] = {c[0], c[1]};
+    Crypt<3, 2>(dec_, p);
+    Store(Xor(p[0], prev), out + 8 * i);
+    Store(Xor(p[1], c[0]), out + 8 * i + 8);
+    prev = c[1];
+  }
+  if (i < n_blocks) {
+    Block p = Load(in + 8 * i);
+    Crypt<3, 1>(dec_, &p);
+    Store(Xor(p, prev), out + 8 * i);
+  }
+  return true;
 }
 
 }  // namespace tdb::crypto

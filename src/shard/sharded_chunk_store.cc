@@ -911,6 +911,8 @@ chunk::ChunkStoreStats ShardedChunkStore::Stats() const {
     agg.cache_evictions_relocation += t.cache_evictions_relocation;
     agg.sealed_bytes += t.sealed_bytes;
     agg.parallel_sealed_bytes += t.parallel_sealed_bytes;
+    agg.sealed_manifest_bytes += t.sealed_manifest_bytes;
+    agg.sealed_map_bytes += t.sealed_map_bytes;
     agg.commit_groups += t.commit_groups;
     agg.grouped_commits += t.grouped_commits;
     // A commit group never spans shards: the meaningful high-water mark

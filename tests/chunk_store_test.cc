@@ -1309,6 +1309,42 @@ TEST(ChunkPipelineTest, SmallBatchesStaySerial) {
   EXPECT_GT((*cs)->Stats().sealed_bytes, 0u);
 }
 
+// Sealed plaintext is counted by origin: commit data, commit manifests and
+// checkpoint map nodes each under their own counter, none double-counted.
+TEST(ChunkPipelineTest, SealedBytesCountedByOrigin) {
+  TestEnv env;
+  auto cs = env.Open(SmallSegments(crypto::SecurityConfig::PaperTdbS()));
+  ASSERT_TRUE(cs.ok());
+  // Creating the store checkpoints the empty map once.
+  const uint64_t initial_map_bytes = (*cs)->Stats().sealed_map_bytes;
+  uint64_t data_bytes = 0;
+  for (int round = 0; round < 3; round++) {
+    WriteBatch batch;
+    for (int i = 0; i < 5; i++) {
+      Buffer data(40 + 10 * i, static_cast<uint8_t>(i));
+      data_bytes += data.size();
+      batch.Write((*cs)->AllocateChunkId(), data);
+    }
+    ASSERT_TRUE((*cs)->Commit(batch, true).ok());
+  }
+  ChunkStoreStats before = (*cs)->Stats();
+  EXPECT_EQ(before.sealed_bytes, data_bytes);
+  EXPECT_GT(before.sealed_manifest_bytes, 0u);
+  EXPECT_EQ(before.sealed_map_bytes, initial_map_bytes);
+
+  ASSERT_TRUE((*cs)->Checkpoint().ok());
+  ChunkStoreStats after = (*cs)->Stats();
+  EXPECT_EQ(after.sealed_bytes, data_bytes);
+  EXPECT_GT(after.sealed_map_bytes, before.sealed_map_bytes);
+  EXPECT_GT(after.sealed_manifest_bytes, before.sealed_manifest_bytes);
+
+  common::MetricsSnapshot snap = (*cs)->metrics()->Snapshot();
+  EXPECT_EQ(snap.counters["chunk.sealed_bytes.manifest"],
+            static_cast<int64_t>(after.sealed_manifest_bytes));
+  EXPECT_EQ(snap.counters["chunk.sealed_bytes.map"],
+            static_cast<int64_t>(after.sealed_map_bytes));
+}
+
 // ---------------------------------------------------------------------------
 // Group commit
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include "common/coding.h"
 #include "common/random.h"
@@ -191,6 +193,166 @@ TEST(TripleDesTest, RoundtripRandomKeysAndBlocks) {
   }
 }
 
+TEST(TripleDesTest, NistSp80067ThreeKeyVector) {
+  // NIST SP 800-67 Rev. 1 example (three distinct keys, ECB). A fused EDE
+  // that swapped k1 and k3, or ran k2 forward, fails here while every
+  // single-DES vector and the equal-keys test still pass.
+  TripleDes tdes(FromHex("0123456789abcdef23456789abcdef01456789abcdef0123"));
+  const std::string pt = "The qufck brown fox jump";
+  uint8_t ct[24], back[24];
+  for (int i = 0; i < 3; i++) {
+    tdes.EncryptBlock(reinterpret_cast<const uint8_t*>(pt.data()) + 8 * i,
+                      ct + 8 * i);
+    tdes.DecryptBlock(ct + 8 * i, back + 8 * i);
+  }
+  EXPECT_EQ(ToHex(Slice(ct, 24)),
+            "a826fd8ce53b855fcce21c8112256fe668d5c05dd9b6b900");
+  EXPECT_EQ(std::string(back, back + 24), pt);
+}
+
+// Per-block EDE reference from three single-DES objects: the definition
+// the fused 48-round kernel must reproduce bit for bit.
+class ReferenceTripleDes {
+ public:
+  explicit ReferenceTripleDes(const Buffer& key)
+      : k1_(Slice(key.data(), 8)),
+        k2_(Slice(key.data() + 8, 8)),
+        k3_(Slice(key.data() + 16, 8)) {}
+
+  void Encrypt(const uint8_t* in, uint8_t* out) const {
+    uint8_t a[8], b[8];
+    k1_.EncryptBlock(in, a);
+    k2_.DecryptBlock(a, b);
+    k3_.EncryptBlock(b, out);
+  }
+  void Decrypt(const uint8_t* in, uint8_t* out) const {
+    uint8_t a[8], b[8];
+    k3_.DecryptBlock(in, a);
+    k2_.EncryptBlock(a, b);
+    k1_.DecryptBlock(b, out);
+  }
+  // CBC over an already padded plaintext, one block at a time.
+  Buffer CbcEncrypt(Slice iv, const Buffer& padded) const {
+    Buffer out(padded.size());
+    const uint8_t* chain = iv.data();
+    for (size_t off = 0; off < padded.size(); off += 8) {
+      uint8_t x[8];
+      for (int i = 0; i < 8; i++) x[i] = padded[off + i] ^ chain[i];
+      Encrypt(x, out.data() + off);
+      chain = out.data() + off;
+    }
+    return out;
+  }
+
+ private:
+  Des k1_, k2_, k3_;
+};
+
+Buffer Pkcs7(Slice plain) {
+  Buffer padded = plain.ToBuffer();
+  const size_t pad = 8 - plain.size() % 8;
+  padded.insert(padded.end(), pad, static_cast<uint8_t>(pad));
+  return padded;
+}
+
+// The sizes CbcSizeTest covers.
+constexpr size_t kCbcSizes[] = {0,  1,  7,   8,   9,   15,   16,
+                                17, 100, 255, 256, 1000, 4096};
+
+TEST(TripleDesTest, FusedKernelMatchesThreeDesReference) {
+  Random rng(1867);
+  for (int trial = 0; trial < 8; trial++) {
+    Buffer key;
+    rng.Fill(&key, TripleDes::kKeySize);
+    TripleDes tdes(key);
+    ReferenceTripleDes ref(key);
+
+    // Block calls.
+    for (int i = 0; i < 16; i++) {
+      Buffer pt;
+      rng.Fill(&pt, 8);
+      uint8_t got[8], want[8];
+      tdes.EncryptBlock(pt.data(), got);
+      ref.Encrypt(pt.data(), want);
+      ASSERT_EQ(ToHex(Slice(got, 8)), ToHex(Slice(want, 8)));
+      tdes.DecryptBlock(pt.data(), got);
+      ref.Decrypt(pt.data(), want);
+      ASSERT_EQ(ToHex(Slice(got, 8)), ToHex(Slice(want, 8)));
+    }
+
+    // CBC hooks: encryption out of place and in place, decryption with
+    // both an even and an odd block count (the two-block interleave and
+    // its single-block tail).
+    for (size_t size : kCbcSizes) {
+      Buffer iv, plain;
+      rng.Fill(&iv, 8);
+      rng.Fill(&plain, size);
+      const Buffer padded = Pkcs7(plain);
+      const Buffer want = ref.CbcEncrypt(iv, padded);
+      const size_t n = want.size() / 8;
+      Buffer got(want.size());
+      ASSERT_TRUE(tdes.CbcEncryptBlocks(iv.data(), padded.data(), n,
+                                        got.data()));
+      EXPECT_EQ(got, want) << size;
+      Buffer in_place = padded;
+      ASSERT_TRUE(tdes.CbcEncryptBlocks(iv.data(), in_place.data(), n,
+                                        in_place.data()));
+      EXPECT_EQ(in_place, want) << size;
+      EXPECT_EQ(CbcEncrypt(tdes, iv, plain), want) << size;
+      Buffer decrypted(want.size());
+      ASSERT_TRUE(tdes.CbcDecryptBlocks(iv.data(), want.data(), n,
+                                        decrypted.data()));
+      EXPECT_EQ(decrypted, padded) << size;
+      auto back = CbcDecrypt(tdes, iv, want);
+      ASSERT_TRUE(back.ok()) << size;
+      EXPECT_EQ(*back, plain) << size;
+    }
+  }
+}
+
+// The cipher key CipherSuite derives from its master secret (HMAC-SHA256
+// of "tdb-enc" plus a block index, truncated). Part of the on-disk format:
+// changing it would orphan every sealed image.
+Buffer SuiteCipherKey(Slice master, size_t size) {
+  Buffer label = Slice("tdb-enc").ToBuffer();
+  label.push_back(0);
+  Digest d = Hmac::Mac(HashKind::kSha256, master, label);
+  return Buffer(d.data(), d.data() + size);
+}
+
+TEST(TripleDesTest, SealWithIvsMatchesThreeDesReference) {
+  const Slice master("differential-master");
+  CipherSuite suite(SecurityConfig::PaperTdbS(), master, Slice("iv-seed"));
+  ReferenceTripleDes ref(SuiteCipherKey(master, TripleDes::kKeySize));
+  Random rng(1868);
+  // Odd and even batch counts, so both lanes start, swap buffers, and one
+  // finishes alone; sizes mix so the lanes run out at different blocks.
+  for (size_t count : {1u, 2u, 3u, 4u, 5u, 8u, 13u}) {
+    std::vector<Buffer> plains_owned(count);
+    std::vector<Slice> plains;
+    std::vector<Buffer> ivs;
+    for (size_t i = 0; i < count; i++) {
+      rng.Fill(&plains_owned[i],
+               kCbcSizes[rng.Uniform(std::size(kCbcSizes))]);
+      plains.push_back(plains_owned[i]);
+      ivs.push_back(suite.NextIv());
+    }
+    std::vector<Buffer> sealed = suite.SealWithIvs(plains, ivs);
+    ASSERT_EQ(sealed.size(), count);
+    for (size_t i = 0; i < count; i++) {
+      Buffer want = ivs[i];
+      Buffer ct = ref.CbcEncrypt(ivs[i], Pkcs7(plains[i]));
+      want.insert(want.end(), ct.begin(), ct.end());
+      EXPECT_EQ(sealed[i], want) << count << "/" << i;
+      EXPECT_EQ(suite.SealWithIv(plains[i], ivs[i]), want)
+          << count << "/" << i;
+      auto opened = suite.Open(sealed[i]);
+      ASSERT_TRUE(opened.ok()) << count << "/" << i;
+      EXPECT_EQ(*opened, plains_owned[i]) << count << "/" << i;
+    }
+  }
+}
+
 // ------------------------------------------------------------------ AES
 
 TEST(Aes128Test, Fips197AppendixC) {
@@ -358,6 +520,47 @@ TEST(CipherSuiteTest, HashMatchesUnderlyingAlgorithm) {
   EXPECT_EQ(suite.HashData(Slice("abc")),
             Hash(HashKind::kSha1, Slice("abc")));
   EXPECT_EQ(suite.hash_size(), 20u);
+}
+
+// Sealed bytes of a fixed corpus under a fixed secret and IV seed. The
+// digests were recorded before the fused 3DES kernel and the in-place seal
+// path, and must never change: images written by any earlier build have to
+// open. Seal() and SealWithIvs() over the same IV draws must both match.
+TEST(CipherSuiteTest, SealedBytesPinnedAcrossReleases) {
+  const struct {
+    SecurityConfig config;
+    const char* digest;
+  } cases[] = {
+      {SecurityConfig::PaperTdbS(),
+       "7492ebab86f635142d5ea21f9a818b8857edd2ad4b922bfc14d6cb12f7cd84bd"},
+      {SecurityConfig::Modern(),
+       "1c831cafb59d5751f950d45f19b276286a10eac88da10320cbc2bfe493b6416d"},
+  };
+  for (const auto& c : cases) {
+    std::vector<Buffer> corpus;
+    Random rng(2002);
+    for (size_t size : {0, 1, 7, 8, 9, 15, 16, 17, 100, 255, 256, 523, 1000,
+                        4096}) {
+      corpus.emplace_back();
+      rng.Fill(&corpus.back(), size);
+    }
+    CipherSuite one(c.config, Slice("pinned-master-secret"),
+                    Slice("pinned-iv-seed"));
+    Sha256 h;
+    for (const Buffer& plain : corpus) h.Update(one.Seal(plain));
+    EXPECT_EQ(h.Finish().ToHex(), c.digest);
+
+    CipherSuite batch(c.config, Slice("pinned-master-secret"),
+                      Slice("pinned-iv-seed"));
+    std::vector<Slice> plains(corpus.begin(), corpus.end());
+    std::vector<Buffer> ivs;
+    for (size_t i = 0; i < corpus.size(); i++) ivs.push_back(batch.NextIv());
+    Sha256 hb;
+    for (const Buffer& sealed : batch.SealWithIvs(plains, ivs)) {
+      hb.Update(sealed);
+    }
+    EXPECT_EQ(hb.Finish().ToHex(), c.digest);
+  }
 }
 
 // ------------------------------------------------- hardware dispatch

@@ -56,12 +56,14 @@ if [[ -n "$sanitize" ]]; then
   # the scenario-layer campaigns, the multi-threaded 2PL stress and
   # group-commit coordinator (the TSan targets), the lock manager, the
   # torn-write fault model, the wait-free metrics registry (8-thread
-  # instrument stress), and the object and collection stores (the object
-  # cache's list-iterator bookkeeping under pins, aborts and eviction).
+  # instrument stress), the object and collection stores (the object
+  # cache's list-iterator bookkeeping under pins, aborts and eviction),
+  # and the crypto kernels (3DES indexes its tables by data-derived
+  # values; the two-lane seal runs in place behind the IV).
   smoke_targets=(harness_test workload_test txn_stress_test chunk_store_test
                  shard_store_test lock_manager_test sim_disk_test
                  metrics_test trace_test object_store_test
-                 collection_store_test)
+                 collection_store_test crypto_test)
   cmake --build "$build_dir" -j "$(nproc)" --target "${smoke_targets[@]}"
   for t in "${smoke_targets[@]}"; do
     echo "== $t ($sanitize sanitizer) =="

@@ -233,8 +233,10 @@ const char* RegionName(int region) {
 }
 
 // Resource budgets an operator asks about first: how full the object
-// cache is and how much of it no eviction can reclaim, and where the log's
-// segments sit relative to the cleaner (why space is not reclaimed).
+// cache is and how much of it no eviction can reclaim, what the store
+// sealed (commit data against the manifests and map nodes around it), and
+// where the log's segments sit relative to the cleaner (why space is not
+// reclaimed).
 void PrintBudgets(const common::MetricsSnapshot& snap) {
   auto gauge = [&](const std::string& name) -> int64_t {
     auto it = snap.gauges.find(name);
@@ -249,6 +251,20 @@ void PrintBudgets(const common::MetricsSnapshot& snap) {
                 unevictable / 1024.0,
                 capacity > 0 && unevictable > capacity ? "  OVER-COMMITTED"
                                                        : "");
+  }
+  auto counter = [&](const std::string& name) -> int64_t {
+    auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0 : it->second;
+  };
+  if (snap.counters.count("chunk.sealed_bytes")) {
+    const int64_t data = counter("chunk.sealed_bytes");
+    const int64_t manifest = counter("chunk.sealed_bytes.manifest");
+    const int64_t map = counter("chunk.sealed_bytes.map");
+    const int64_t total = data + manifest + map;
+    std::printf("sealed bytes: %lld commit data, %lld manifests, %lld map "
+                "nodes (%.0f%% data)\n",
+                (long long)data, (long long)manifest, (long long)map,
+                total > 0 ? 100.0 * data / total : 0.0);
   }
   if (!snap.gauges.count("chunk.census.residual.segments")) return;
   std::printf("segment census: %12s %12s %12s\n", "segments", "KB", "KB live");
